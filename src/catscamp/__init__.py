@@ -46,7 +46,6 @@ from .states import (
     CatSpec,
     SqueezeSpec,
     ChannelParams,
-    make_state,
     cat_chi,
     cat_fock,
     coherent_chi,
@@ -67,7 +66,6 @@ from .pipeline import (
     PipelineResult,
     CoherentScampResult,
     run_parity_swap,
-    optimize_gain,
     fidelity_vs_ideal,
     run_coherent_scamp,
     ideal_gain_curve,

@@ -199,7 +199,7 @@ def _trace_rule_consistency(seed=7) -> AuditCheck:
     opposite-squeezed pairs at |s| = 1.5 still disagree at the 1e-3 level
     at dim 40, which is a property of the truncation, not of either engine.
     """
-    from .states import _auto_dim_for, squeezed_coherent_fock
+    from .states import _squeezed_vacuum_and_cats, squeezed_coherent_fock
 
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -216,7 +216,9 @@ def _trace_rule_consistency(seed=7) -> AuditCheck:
         s1 = rng.uniform(-TRACE_RULE_SQUEEZE_MAX, TRACE_RULE_SQUEEZE_MAX)
         s2 = rng.uniform(-TRACE_RULE_SQUEEZE_MAX, TRACE_RULE_SQUEEZE_MAX)
         alpha = rng.uniform(0.0, 1.2)
-        dim = _auto_dim_for(alpha=max(alpha, 0.5), s=max(abs(s1), abs(s2)))
+        dim, _ = fock.pick_dim(
+            _squeezed_vacuum_and_cats(max(alpha, 0.5), max(abs(s1), abs(s2)))
+        )
         val_chi = overlap(squeezed_coherent_chi(s1, alpha), squeezed_vacuum_chi(s2))
         a = squeezed_coherent_fock(s1, alpha, dim, check_tail=False)
         b = squeezed_vacuum_fock(s2, dim, check_tail=False)

@@ -91,6 +91,13 @@ def _squeezing_value(text):
         raise ConfigError(f"squeezing must be 'auto' or a number, got {text!r}") from exc
 
 
+def _open_for_write(path: str):
+    try:
+        return open(path, "w", encoding="ascii", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _merged(args, file_cfg: dict, key: str, default=None):
     flag = getattr(args, key, None)
     if flag is not None:
@@ -168,7 +175,8 @@ def _cmd_sweep(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    sweeps.run_sweep_to_path(spec, out)
+    with _open_for_write(out) as handle:
+        sweeps.write_sweep(spec, handle)
     print(f"wrote {out}")
     return 0
 
@@ -186,7 +194,7 @@ def _cmd_wigner(args) -> int:
     report = wigner_report(cfg, axis, axis)
     for suffix, field in (("output", report.w_output), ("ideal", report.w_ideal)):
         path = f"{out}_{suffix}.csv"
-        with open(path, "w", encoding="ascii", newline="") as handle:
+        with _open_for_write(path) as handle:
             handle.write("q,p,w\n")
             for i, q in enumerate(report.q):
                 for j, p in enumerate(report.p):

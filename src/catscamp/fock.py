@@ -24,6 +24,7 @@ __all__ = [
     "FockVector",
     "FockDensity",
     "TwoModeFock",
+    "pick_dim",
     "annihilator",
     "vacuum_vector",
     "squeeze_operator",
@@ -41,6 +42,7 @@ __all__ = [
     "DIM_LADDER",
     "DEFAULT_TAIL_TOL",
     "TAIL_MARGIN",
+    "SQUEEZE_MAX",
 ]
 
 DEFAULT_DIM = 40
@@ -48,6 +50,7 @@ DIM_LADDER = (40, 60, 80, 100)
 DEFAULT_TAIL_TOL = 1e-10
 TAIL_MARGIN = 5
 OPERATOR_PAD = 20
+SQUEEZE_MAX = 2.0
 
 
 class TruncationError(Exception):
@@ -139,42 +142,49 @@ class FockDensity:
 
 @dataclass(frozen=True)
 class TwoModeFock:
-    """Two-mode state over the product number basis |n1, n2>.
+    """Pure two-mode state over the product number basis |n1, n2>, with
+    ``amps`` of shape (d1, d2)."""
 
-    Pure states carry ``amps`` of shape (d1, d2); mixed states carry
-    ``density`` of shape (d1, d2, d1, d2) with ket indices first.  Exactly
-    one of the two is set.
-    """
-
-    amps: np.ndarray | None = None
-    density: np.ndarray | None = None
+    amps: np.ndarray
 
     def __post_init__(self):
-        if (self.amps is None) == (self.density is None):
-            raise ValueError("provide exactly one of amps or density")
-        if self.amps is not None:
-            a = np.asarray(self.amps, dtype=complex)
-            if a.ndim != 2:
-                raise ValueError("amps must be 2-d (one axis per mode)")
-            object.__setattr__(self, "amps", _frozen(a))
-        else:
-            d = np.asarray(self.density, dtype=complex)
-            if d.ndim != 4 or d.shape[:2] != d.shape[2:]:
-                raise ValueError("density must have shape (d1, d2, d1, d2)")
-            object.__setattr__(self, "density", _frozen(d))
-
-    @property
-    def pure(self) -> bool:
-        return self.amps is not None
+        a = np.asarray(self.amps, dtype=complex)
+        if a.ndim != 2:
+            raise ValueError("amps must be 2-d (one axis per mode)")
+        object.__setattr__(self, "amps", _frozen(a))
 
     @property
     def dims(self):
-        return self.amps.shape if self.pure else self.density.shape[:2]
+        return self.amps.shape
 
     def norm(self) -> float:
-        if self.pure:
-            return float(np.linalg.norm(self.amps))
-        return float(np.einsum("jnjn->", self.density).real)
+        return float(np.linalg.norm(self.amps))
+
+
+def pick_dim(build, truncation: int | None = None):
+    """Truncation and states for a caller's ``build(dim)`` -> tuple of FockVector.
+
+    A pinned ``truncation`` is used as given, with no tail check.  Otherwise
+    the first :data:`DIM_LADDER` rung at which every built state passes
+    :meth:`FockVector.check_tail` is returned as ``(dim, states)``; raises
+    :class:`TruncationError` when no rung fits.
+    """
+    if truncation is not None:
+        return truncation, build(truncation)
+    last_exc = None
+    for dim in DIM_LADDER:
+        built = build(dim)
+        try:
+            for state in built:
+                state.check_tail()
+        except TruncationError as exc:
+            last_exc = exc
+            continue
+        return dim, built
+    raise TruncationError(
+        f"no ladder truncation up to {DIM_LADDER[-1]} fits: {last_exc}",
+        suggested_dim=2 * DIM_LADDER[-1],
+    )
 
 
 def vacuum_vector(dim: int) -> FockVector:
@@ -209,8 +219,8 @@ def squeeze_fock(state: FockVector, s: float, pad: int = OPERATOR_PAD,
     Raises :class:`TruncationError` if the result's tail mass shows the
     truncation is too small for this squeezing.
     """
-    if abs(s) > 2.0:
-        raise ValueError("|s| <= 2 is the supported squeezing range")
+    if abs(s) > SQUEEZE_MAX:
+        raise ValueError(f"|s| <= {SQUEEZE_MAX:g} is the supported squeezing range")
     out = FockVector(squeeze_operator(float(s), state.dim, pad) @ state.amps)
     if check_tail:
         out.check_tail(tail_tol)
@@ -225,21 +235,17 @@ def displacement_operator(xi: complex, dim: int, pad: int = OPERATOR_PAD) -> np.
 
 
 def ladder(state: FockVector, which: str):
-    """Apply a bare ladder operator; returns (unnormalized vector, norm).
+    """Apply the bare annihilation operator; returns (unnormalized vector, norm).
 
-    ``which`` is ``"annihilate"`` or ``"create"``.  Annihilating the vacuum
-    returns the zero vector with norm 0.  The norm is what event
-    probabilities are built from, so no renormalization happens here.
+    ``which`` must be ``"annihilate"``.  Annihilating the vacuum returns the
+    zero vector with norm 0.  The norm is what event probabilities are built
+    from, so no renormalization happens here.
     """
+    if which != "annihilate":
+        raise ValueError("which must be 'annihilate'")
     n = np.arange(state.dim, dtype=float)
-    if which == "annihilate":
-        out = np.zeros_like(state.amps)
-        out[:-1] = np.sqrt(n[1:]) * state.amps[1:]
-    elif which == "create":
-        out = np.zeros_like(state.amps)
-        out[1:] = np.sqrt(n[1:]) * state.amps[:-1]
-    else:
-        raise ValueError("which must be 'annihilate' or 'create'")
+    out = np.zeros_like(state.amps)
+    out[:-1] = np.sqrt(n[1:]) * state.amps[1:]
     vec = FockVector(out)
     return vec, vec.norm()
 
@@ -285,23 +291,14 @@ def _apply_blocks(amps: np.ndarray, blocks) -> np.ndarray:
 
 
 def beamsplitter_fock(state: TwoModeFock, t: float, r: float) -> TwoModeFock:
-    """Apply the two-mode beamsplitter unitary (pure or mixed state)."""
+    """Apply the two-mode beamsplitter unitary to a pure state."""
     if abs(t * t + r * r - 1.0) > 1e-12:
         raise ValueError(f"(t, r) = ({t}, {r}) is not unitary: t^2 + r^2 != 1")
     d1, d2 = state.dims
     if d1 != d2:
         raise ValueError("beamsplitter requires equal mode dimensions")
     blocks = _beamsplitter_blocks(float(t), float(r), d1)
-    if state.pure:
-        return TwoModeFock(amps=_apply_blocks(state.amps, blocks))
-    # U rho U^dag: blocks on the ket pair, conjugate blocks on the bra pair
-    rho = state.density.reshape(d1, d2, d1 * d2)
-    rho = np.stack([_apply_blocks(rho[:, :, k], blocks) for k in range(d1 * d2)], axis=2)
-    rho = rho.reshape(d1, d2, d1, d2).transpose(2, 3, 0, 1).conj()
-    rho = rho.reshape(d1, d2, d1 * d2)
-    rho = np.stack([_apply_blocks(rho[:, :, k], blocks) for k in range(d1 * d2)], axis=2)
-    rho = rho.reshape(d1, d2, d1, d2).transpose(2, 3, 0, 1).conj()
-    return TwoModeFock(density=rho)
+    return TwoModeFock(_apply_blocks(state.amps, blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +319,7 @@ def condition_fock(
     outcome: str,
     prob_floor: float = DEFAULT_PROB_FLOOR,
 ):
-    """Geiger-mode detection on one mode of a two-mode state.
+    """Geiger-mode detection on one mode of a pure two-mode state.
 
     Returns ``(FockDensity, probability)`` on the kept mode; the density is
     renormalized.  ``outcome`` is ``"no_click"`` or ``"click"``.
@@ -334,13 +331,8 @@ def condition_fock(
         w = 1.0 - w
     elif outcome != "no_click":
         raise ValueError("outcome must be 'no_click' or 'click'")
-    if state.pure:
-        amps = state.amps if mode == 1 else state.amps.T  # measured axis last
-        rho = np.einsum("jn,n,kn->jk", amps, w, amps.conj())
-    elif mode == 1:
-        rho = np.einsum("jnkn,n->jk", state.density, w)
-    else:
-        rho = np.einsum("njnk,n->jk", state.density, w)
+    amps = state.amps if mode == 1 else state.amps.T  # measured axis last
+    rho = np.einsum("jn,n,kn->jk", amps, w, amps.conj())
     prob = float(np.trace(rho).real)
     if prob < prob_floor:
         raise NegligibleEventError(
@@ -374,10 +366,8 @@ def chi_from_fock(state, xi) -> complex:
         _truncation_probe_warning(max(abs(xi1), abs(xi2)), min(d1, d2))
         disp1 = displacement_operator(complex(xi1), d1)
         disp2 = displacement_operator(complex(xi2), d2)
-        if state.pure:
-            moved = disp1 @ state.amps @ disp2.T
-            return complex(np.vdot(state.amps, moved))
-        return complex(np.einsum("jnkm,kj,mn->", state.density, disp1, disp2))
+        moved = disp1 @ state.amps @ disp2.T
+        return complex(np.vdot(state.amps, moved))
     if isinstance(state, FockVector):
         _truncation_probe_warning(abs(xi), state.dim)
         disp = displacement_operator(complex(xi), state.dim)

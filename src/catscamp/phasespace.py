@@ -182,12 +182,6 @@ class DetectorPOVMChi:
         if self.outcome not in (NO_CLICK, CLICK):
             raise ValueError(f"outcome must be '{NO_CLICK}' or '{CLICK}'")
 
-    def noclick_term(self) -> GaussianTerm:
-        """The smooth (non-delta) Gaussian term of the no-click element."""
-        eta = self.efficiency
-        quad = ((2.0 - eta) / eta) * np.eye(2)
-        return GaussianTerm(1, 1.0 / eta, quad, np.zeros(2))
-
 
 # ---------------------------------------------------------------------------
 # state algebra
@@ -299,27 +293,33 @@ def _partition(n_modes: int, mode: int):
     return np.array(keep, dtype=int), np.array(drop, dtype=int)
 
 
-def _integrated_term(term: GaussianTerm, mode: int, eta: float) -> GaussianTerm:
-    """Multiply one mode by the no-click Gaussian and integrate it out.
+def _noclick_integral(term: GaussianTerm, drop: np.ndarray, eta: float):
+    """Multiply the mode at coordinates ``drop`` by the no-click Gaussian and
+    integrate it out: (1/pi) int chi(..., xi_m, ...) chi_noclick(xi_m) d^2 xi_m.
 
-    Implements (1/pi) int chi(..., xi_m, ...) chi_noclick(xi_m) d^2 xi_m for a
-    single Gaussian term; the result is a term on the remaining modes.
+    Returns the integrated term's weight and the inverse of the measured
+    mode's combined quadratic block.
     """
-    keep, drop = _partition(term.n_modes, mode)
     quad_vv = term.quad[np.ix_(drop, drop)] + ((2.0 - eta) / eta) * np.eye(2)
-    quad_uv = term.quad[np.ix_(keep, drop)]
     lin_v = term.lin[drop]
     # always positive definite: (2-eta)/eta >= 1 and Re M is PSD
     inv_vv = np.linalg.inv(quad_vv)
-    det_vv = np.linalg.det(quad_vv)
     weight = (
         term.weight
         * (2.0 / eta)
-        / np.sqrt(det_vv)
+        / np.sqrt(np.linalg.det(quad_vv))
         * np.exp(0.5 * lin_v @ inv_vv @ lin_v)
     )
+    return weight, inv_vv
+
+
+def _integrated_term(term: GaussianTerm, mode: int, eta: float) -> GaussianTerm:
+    """The no-click integral of one term as a term on the remaining modes."""
+    keep, drop = _partition(term.n_modes, mode)
+    weight, inv_vv = _noclick_integral(term, drop, eta)
+    quad_uv = term.quad[np.ix_(keep, drop)]
     quad = term.quad[np.ix_(keep, keep)] - quad_uv @ inv_vv @ quad_uv.T
-    lin = term.lin[keep] - quad_uv @ inv_vv @ lin_v
+    lin = term.lin[keep] - quad_uv @ inv_vv @ term.lin[drop]
     return GaussianTerm(term.n_modes - 1, weight, quad, lin)
 
 
@@ -332,31 +332,14 @@ def _restricted_term(term: GaussianTerm, mode: int) -> GaussianTerm:
     )
 
 
-def _single_mode_term(term: GaussianTerm, mode: int) -> GaussianTerm:
-    """Restrict every mode except ``mode`` to zero argument."""
-    drop = [2 * mode, 2 * mode + 1]
-    sub = np.ix_(drop, drop)
-    return GaussianTerm(1, term.weight, term.quad[sub], term.lin[drop])
-
-
 def outcome_probability(
     state: GaussianSumState, mode: int, povm: DetectorPOVMChi
 ) -> float:
     """Probability of the POVM outcome on one mode, other modes untouched."""
     if not 0 <= mode < state.n_modes:
         raise ValueError(f"mode {mode} out of range")
-    eta = povm.efficiency
-    p_noclick = 0.0 + 0.0j
-    for term in state.terms:
-        single = _single_mode_term(term, mode)
-        quad = single.quad + ((2.0 - eta) / eta) * np.eye(2)
-        inv = np.linalg.inv(quad)
-        p_noclick += (
-            single.weight
-            * (2.0 / eta)
-            / np.sqrt(np.linalg.det(quad))
-            * np.exp(0.5 * single.lin @ inv @ single.lin)
-        )
+    _, drop = _partition(state.n_modes, mode)
+    p_noclick = sum(_noclick_integral(t, drop, povm.efficiency)[0] for t in state.terms)
     if povm.outcome == NO_CLICK:
         return float(p_noclick.real)
     return float((state.norm_value() - p_noclick).real)

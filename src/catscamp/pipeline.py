@@ -6,7 +6,9 @@ output is kept only when it stays dark.  Stage 2 (subtraction): the kept
 mode passes a highly transmitting beamsplitter whose weak reflected arm
 must click.  A successful run subtracts a photon, so the ideal target is
 always the opposite-parity cat; the optimal target size beta* is found by a
-bracketed golden-section search of the output fidelity.
+bracketed golden-section search of the output fidelity.  The coherent-state
+comparison amplifier runs the same two stages on coherent input and guess
+states.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ __all__ = [
     "PipelineResult",
     "CoherentScampResult",
     "run_parity_swap",
-    "optimize_gain",
     "fidelity_vs_ideal",
     "run_coherent_scamp",
     "ideal_gain_curve",
@@ -90,15 +91,19 @@ class PipelineConfig:
     truncation: int | None = None
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         states.parity_sign(self.parity)
-        if isinstance(self.squeezing, str) and self.squeezing != "auto":
-            raise ValueError("squeezing must be a number or 'auto'")
+        if isinstance(self.squeezing, str):
+            if self.squeezing != "auto":
+                raise ValueError("squeezing must be a number or 'auto'")
+        elif not abs(self.squeezing) <= fock.SQUEEZE_MAX:  # also rejects nan
+            raise ValueError(f"squeezing must satisfy |s| <= {fock.SQUEEZE_MAX:g}, "
+                             f"got {self.squeezing}")
         for name in ("t1", "t2"):
             val = getattr(self, name)
-            if not 0.0 < val < 1.0 + 1e-12:
-                raise ValueError(f"{name} must lie in (0, 1], got {val}")
+            if not 0.0 < val < 1.0:
+                raise ValueError(f"{name} must lie in (0, 1), got {val}")
         for name in ("eta1", "eta2"):
             val = getattr(self, name)
             if not 0.0 < val <= 1.0:
@@ -110,11 +115,11 @@ class PipelineConfig:
 
     @property
     def r1(self) -> float:
-        return math.sqrt(max(0.0, 1.0 - self.t1 * self.t1))
+        return math.sqrt(1.0 - self.t1 * self.t1)
 
     @property
     def r2(self) -> float:
-        return math.sqrt(max(0.0, 1.0 - self.t2 * self.t2))
+        return math.sqrt(1.0 - self.t2 * self.t2)
 
     def squeezing_value(self) -> float:
         if self.squeezing == "auto":
@@ -205,53 +210,38 @@ class PipelineResult:
 # engine internals
 # ---------------------------------------------------------------------------
 
-def _chi_stages(input_state: GaussianSumState, s: float, cfg: PipelineConfig):
-    """Run comparison + subtraction in the Gaussian-sum engine."""
-    joint = tensor(input_state, squeezed_vacuum_chi(s))
+def _chi_comparison(input_state: GaussianSumState, guess: GaussianSumState,
+                    cfg: PipelineConfig):
+    """Stage 1 in the Gaussian-sum engine: mix input and guess, keep the dark
+    outcome of the difference arm.  Returns ``(kept, p1)``."""
+    joint = tensor(input_state, guess)
     joint = substitute_beamsplitter(joint, 0, 1, cfg.t1, cfg.r1)
-    kept, p1 = condition(joint, 0, DetectorPOVMChi(cfg.eta1, NO_CLICK))
+    return condition(joint, 0, DetectorPOVMChi(cfg.eta1, NO_CLICK))
+
+
+def _chi_subtraction(kept: GaussianSumState, cfg: PipelineConfig):
+    """Stage 2 in the Gaussian-sum engine: tap the kept mode, keep the click.
+    Returns ``(out, p2)``."""
     staged = tensor(kept, vacuum_chi())
     staged = substitute_beamsplitter(staged, 0, 1, cfg.t2, cfg.r2)
-    out, p2 = condition(staged, 1, DetectorPOVMChi(cfg.eta2, CLICK))
-    return out, p1, p2
+    return condition(staged, 1, DetectorPOVMChi(cfg.eta2, CLICK))
 
 
-def _pick_dim(cfg: PipelineConfig, s: float) -> int:
-    """Smallest ladder truncation whose input states pass the tail check.
-
-    The squeezed-vacuum guess dominates the requirement; raises
-    :class:`fock.TruncationError` when even the top rung fails.
-    """
-    if cfg.truncation is not None:
-        return cfg.truncation
-    last_exc = None
-    for dim in fock.DIM_LADDER:
-        try:
-            squeezed_vacuum_fock(s, dim)
-            cat_fock(cfg.alpha, cfg.parity, dim).check_tail()
-        except fock.TruncationError as exc:
-            last_exc = exc
-            continue
-        return dim
-    raise fock.TruncationError(
-        f"no ladder truncation up to {fock.DIM_LADDER[-1]} fits alpha={cfg.alpha}, "
-        f"s={s}: {last_exc}",
-        suggested_dim=2 * fock.DIM_LADDER[-1],
-    )
-
-
-def _fock_stages(input_vec, s: float, cfg: PipelineConfig, dim: int):
-    """Run comparison + subtraction in the number-basis engine.
-
-    Stage 1 conditions the pure joint state into a single-mode density;
-    stage 2 pushes its eigenvector ensemble through the subtraction splitter
-    so the expensive two-mode objects stay vectors.
-    """
-    guess = squeezed_vacuum_fock(s, dim, check_tail=cfg.truncation is None)
-    joint = TwoModeFock(np.outer(input_vec.amps, guess.amps))
+def _fock_comparison(input_vec, guess_vec, cfg: PipelineConfig):
+    """Stage 1 in the number-basis engine: the pure joint state conditions
+    into a single-mode density.  Returns ``(rho1, p1)``."""
+    joint = TwoModeFock(np.outer(input_vec.amps, guess_vec.amps))
     joint = fock.beamsplitter_fock(joint, cfg.t1, cfg.r1)
-    rho1, p1 = fock.condition_fock(joint, 0, cfg.eta1, NO_CLICK)
+    return fock.condition_fock(joint, 0, cfg.eta1, NO_CLICK)
 
+
+def _fock_subtraction(rho1: FockDensity, cfg: PipelineConfig):
+    """Stage 2 in the number-basis engine.  Returns ``(rho_out, p2)``.
+
+    The eigenvector ensemble of rho1 goes through the subtraction splitter
+    one vector at a time, so the two-mode objects stay vectors.
+    """
+    dim = rho1.dim
     evals, evecs = np.linalg.eigh(rho1.matrix)
     keep = evals > max(1e-14, 1e-14 * float(evals.max()))
     click_w = 1.0 - fock.noclick_weights(cfg.eta2, dim)
@@ -264,10 +254,8 @@ def _fock_stages(input_vec, s: float, cfg: PipelineConfig, dim: int):
         rho_out += lam * np.einsum("jn,n,kn->jk", amps, click_w, amps.conj())
     p2 = float(np.trace(rho_out).real)
     if p2 < 1e-12:
-        raise fock.NegligibleEventError(
-            f"stage-2 click probability {p2:.3e} below floor"
-        )
-    return FockDensity(rho_out / p2), p1, p2
+        raise NegligibleEventError(f"stage-2 click probability {p2:.3e} below floor")
+    return FockDensity(rho_out / p2), p2
 
 
 def _beta_bracket(alpha: float):
@@ -311,7 +299,8 @@ def run_parity_swap(cfg: PipelineConfig, optimize: bool = True) -> PipelineResul
     dim = None
 
     if cfg.engine in ("chi", "both"):
-        out_chi, p1, p2 = _chi_stages(cat_chi(cfg.alpha, cfg.parity), s, cfg)
+        kept, p1 = _chi_comparison(cat_chi(cfg.alpha, cfg.parity), squeezed_vacuum_chi(s), cfg)
+        out_chi, p2 = _chi_subtraction(kept, cfg)
         beta = fstar = None
         if optimize:
             beta, fstar = _optimize_beta(
@@ -320,8 +309,13 @@ def run_parity_swap(cfg: PipelineConfig, optimize: bool = True) -> PipelineResul
         records["chi"] = EngineRecord(p1, p2, beta, fstar)
 
     if cfg.engine in ("fock", "both"):
-        dim = _pick_dim(cfg, s)
-        out_fock, p1, p2 = _fock_stages(cat_fock(cfg.alpha, cfg.parity, dim), s, cfg, dim)
+        dim, (cat, guess) = fock.pick_dim(
+            lambda d: (cat_fock(cfg.alpha, cfg.parity, d),
+                       squeezed_vacuum_fock(s, d, check_tail=False)),
+            cfg.truncation,
+        )
+        rho1, p1 = _fock_comparison(cat, guess, cfg)
+        out_fock, p2 = _fock_subtraction(rho1, cfg)
         beta = fstar = None
         if optimize:
             beta, fstar = _optimize_beta(
@@ -357,22 +351,6 @@ def run_parity_swap(cfg: PipelineConfig, optimize: bool = True) -> PipelineResul
         engines_agree=agree,
         agreement_max_diff=max_diff,
     )
-
-
-def optimize_gain(cfg: PipelineConfig, target_parity: str | None = None):
-    """(beta*, fidelity*) for the fidelity-optimal ideal target size.
-
-    ``target_parity`` defaults to the opposite of the input parity (the
-    physical target); same-parity comparison is available for diagnostics.
-    """
-    result = run_parity_swap(cfg, optimize=False)
-    parity = cfg.target_parity if target_parity is None else target_parity
-    if result.output_chi is not None:
-        fid = lambda b: overlap(cat_chi(b, parity), result.output_chi)
-    else:
-        dim = result.fock_dim
-        fid = lambda b: fock.fidelity_fock(cat_fock(b, parity, dim), result.output_fock)
-    return _optimize_beta(fid, cfg.alpha)
 
 
 def fidelity_vs_ideal(result: PipelineResult, beta: float, parity: str | None = None) -> float:
@@ -413,7 +391,8 @@ def run_coherent_scamp(alpha: float, guess_sign: int, cfg: PipelineConfig) -> Co
     The guess amplitude is guess_sign * t1 alpha / r1; a correct guess nulls
     the comparison arm exactly, so the dark detector keeps probability 1 and
     the surviving mode is the amplified state |alpha / r1>.  Fidelity is
-    reported against that nominal output.
+    reported against that nominal output.  Both stages are the ones
+    :func:`run_parity_swap` runs, with coherent input and guess states.
 
     A wrong guess at 50:50 leaves exact vacuum after the comparison, so the
     subtraction detector can never fire; that case returns
@@ -421,63 +400,33 @@ def run_coherent_scamp(alpha: float, guess_sign: int, cfg: PipelineConfig) -> Co
     """
     if guess_sign not in (+1, -1):
         raise ValueError("guess_sign must be +1 or -1")
-    if cfg.r1 == 0.0:
-        raise ValueError("stage-1 splitter must have nonzero reflectivity")
     beta = guess_sign * cfg.t1 * alpha / cfg.r1
     nominal = alpha / cfg.r1
 
-    p1 = p2 = fid = None
-    out_chi = None
     if cfg.engine in ("chi", "both"):
-        joint = tensor(coherent_chi(alpha), coherent_chi(beta))
-        joint = substitute_beamsplitter(joint, 0, 1, cfg.t1, cfg.r1)
-        kept, p1 = condition(joint, 0, DetectorPOVMChi(cfg.eta1, NO_CLICK))
-        staged = tensor(kept, vacuum_chi())
-        staged = substitute_beamsplitter(staged, 0, 1, cfg.t2, cfg.r2)
+        kept, p1 = _chi_comparison(coherent_chi(alpha), coherent_chi(beta), cfg)
+        out_chi = None
         try:
-            out_chi, p2 = condition(staged, 1, DetectorPOVMChi(cfg.eta2, CLICK))
+            out_chi, p2 = _chi_subtraction(kept, cfg)
             fid = overlap(coherent_chi(nominal), out_chi)
         except NegligibleEventError:
             p2, fid = 0.0, float("nan")
         if cfg.engine == "chi":
             return CoherentScampResult(p1, p2, fid, nominal, output_chi=out_chi)
 
-    dim = cfg.truncation or fock.DEFAULT_DIM
+    dim, (vec_in, vec_guess) = fock.pick_dim(
+        lambda d: (coherent_fock(alpha, d), coherent_fock(beta, d)), cfg.truncation
+    )
+    rho1, p1f = _fock_comparison(vec_in, vec_guess, cfg)
+    out_fock = None
     try:
-        out_fock, p1f, p2f = _fock_stages_coherent(alpha, beta, cfg, dim)
+        out_fock, p2f = _fock_subtraction(rho1, cfg)
         fid_f = fock.fidelity_fock(coherent_fock(nominal, dim), out_fock)
     except NegligibleEventError:
-        out_fock, p2f, fid_f = None, 0.0, float("nan")
-        if p1 is None:
-            joint = TwoModeFock(
-                np.outer(coherent_fock(alpha, dim).amps, coherent_fock(beta, dim).amps)
-            )
-            joint = fock.beamsplitter_fock(joint, cfg.t1, cfg.r1)
-            _, p1f = fock.condition_fock(joint, 0, cfg.eta1, NO_CLICK)
-        else:
-            p1f = p1
+        p2f, fid_f = 0.0, float("nan")
     if cfg.engine == "fock":
         return CoherentScampResult(p1f, p2f, fid_f, nominal, output_fock=out_fock)
     return CoherentScampResult(p1, p2, fid, nominal, output_chi=out_chi, output_fock=out_fock)
-
-
-def _fock_stages_coherent(alpha: float, beta: float, cfg: PipelineConfig, dim: int):
-    joint = TwoModeFock(np.outer(coherent_fock(alpha, dim).amps, coherent_fock(beta, dim).amps))
-    joint = fock.beamsplitter_fock(joint, cfg.t1, cfg.r1)
-    rho1, p1 = fock.condition_fock(joint, 0, cfg.eta1, NO_CLICK)
-    evals, evecs = np.linalg.eigh(rho1.matrix)
-    keep = evals > 1e-14
-    click_w = 1.0 - fock.noclick_weights(cfg.eta2, dim)
-    rho_out = np.zeros((dim, dim), dtype=complex)
-    vac = np.zeros(dim, dtype=complex)
-    vac[0] = 1.0
-    for lam, vec in zip(evals[keep], evecs[:, keep].T):
-        two = fock.beamsplitter_fock(TwoModeFock(np.outer(vec, vac)), cfg.t2, cfg.r2)
-        rho_out += lam * np.einsum("jn,n,kn->jk", two.amps, click_w, two.amps.conj())
-    p2 = float(np.trace(rho_out).real)
-    if p2 < 1e-12:
-        raise NegligibleEventError(f"stage-2 click probability {p2:.3e} below floor")
-    return FockDensity(rho_out / p2), p1, p2
 
 
 # ---------------------------------------------------------------------------

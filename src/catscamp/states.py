@@ -46,23 +46,17 @@ __all__ = [
     "squeezed_vacuum_fock",
     "squeezed_vacuum_amps_direct",
     "squeezed_coherent_fock",
-    "make_state",
     "cat_squeezed_overlap",
     "optimal_squeezing",
     "comparison_channel_params",
     "noclick_prob_closed_form",
     "subtracted_squeezed_cat_overlap",
     "subtracted_cat_overlap_reference",
-    "DEFAULT_ALPHA_MAX",
-    "DEFAULT_SQUEEZE_MAX",
 ]
 
 EVEN = "even"
 ODD = "odd"
 PARITIES = (EVEN, ODD)
-
-DEFAULT_ALPHA_MAX = 2.0
-DEFAULT_SQUEEZE_MAX = 1.5
 
 
 def parity_sign(parity: str) -> int:
@@ -288,58 +282,14 @@ def squeezed_coherent_fock(
                              check_tail=check_tail)
 
 
-_CHI_BUILDERS = {
-    "coherent": lambda p: coherent_chi(p["alpha"]),
-    "cat": lambda p: cat_chi(p["alpha"], p["parity"]),
-    "squeezed_vacuum": lambda p: squeezed_vacuum_chi(p["s"]),
-    "squeezed_coherent": lambda p: squeezed_coherent_chi(p["s"], p["alpha"]),
-}
-
-_FOCK_BUILDERS = {
-    "coherent": lambda p, d: coherent_fock(p["alpha"], d),
-    "cat": lambda p, d: cat_fock(p["alpha"], p["parity"], d),
-    "squeezed_vacuum": lambda p, d: squeezed_vacuum_fock(p["s"], d),
-    "squeezed_coherent": lambda p, d: squeezed_coherent_fock(p["s"], p["alpha"], d),
-}
-
-
-def make_state(
-    kind: str,
-    rep: str,
-    alpha: float | None = None,
-    s: float | None = None,
-    parity: str | None = None,
-    dim: int = fock.DEFAULT_DIM,
-    alpha_max: float = DEFAULT_ALPHA_MAX,
-    squeeze_max: float = DEFAULT_SQUEEZE_MAX,
-):
-    """Build any library state in either representation.
-
-    ``rep`` is ``"chi"`` (Gaussian sum) or ``"fock"`` (number basis, at
-    truncation ``dim``).  Default guardrails alpha <= 2 and |s| <= 1.5 keep
-    the parameters inside the engines' validated range; pass larger bounds
-    to override.
-    """
-    if kind not in _CHI_BUILDERS:
-        raise ValueError(f"unknown state kind {kind!r}")
-    params = {}
-    if alpha is not None:
-        alpha = _real_scalar(alpha, "alpha")
-        if abs(alpha) > alpha_max:
-            raise ValueError(f"alpha = {alpha} outside guardrail {alpha_max}")
-        params["alpha"] = alpha
-    if s is not None:
-        s = _real_scalar(s, "s")
-        if abs(s) > squeeze_max:
-            raise ValueError(f"s = {s} outside guardrail {squeeze_max}")
-        params["s"] = s
-    if parity is not None:
-        params["parity"] = parity
-    if rep == "chi":
-        return _CHI_BUILDERS[kind](params)
-    if rep == "fock":
-        return _FOCK_BUILDERS[kind](params, dim)
-    raise ValueError(f"rep must be 'chi' or 'fock', got {rep!r}")
+def _squeezed_vacuum_and_cats(alpha: float, s: float):
+    """``build(dim)`` for :func:`fock.pick_dim`: the squeezed vacuum and both
+    cats of size ``alpha``, so one truncation serves either parity."""
+    return lambda dim: (
+        squeezed_vacuum_fock(s, dim, check_tail=False),
+        cat_fock(alpha, EVEN, dim),
+        cat_fock(alpha, ODD, dim),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -424,10 +374,13 @@ def subtracted_squeezed_cat_overlap(
     normalizing the subtracted state, evaluated in the number basis (the
     authoritative route; the reference closed form lives in
     :func:`subtracted_cat_overlap_reference` and is audited against this).
+    Without ``dim`` the truncation is the first ladder rung that holds the
+    squeezed vacuum and both cats of the larger size; raises
+    :class:`fock.TruncationError` when none does.
     """
     CatSpec(beta, opposite_parity(parity))  # rejects beta = 0 odd targets
     if dim is None:
-        dim = _auto_dim_for(alpha=max(abs(alpha), abs(beta)), s=s)
+        dim, _ = fock.pick_dim(_squeezed_vacuum_and_cats(max(abs(alpha), abs(beta)), s))
     squeezed = fock.squeeze_fock(cat_fock(alpha, parity, dim), s, check_tail=False)
     subtracted, norm = fock.ladder(squeezed, "annihilate")
     if norm == 0.0:
@@ -475,19 +428,3 @@ def subtracted_cat_overlap_reference(
         return float("nan")
     value = (term1 + term2) / math.sqrt(norm_factor)
     return value * value
-
-
-def _auto_dim_for(alpha: float, s: float) -> int:
-    """Smallest ladder truncation whose tail passes for these parameters."""
-    for dim in fock.DIM_LADDER:
-        try:
-            squeezed_vacuum_fock(s, dim)
-            cands = [cat_fock(alpha, EVEN, dim)]
-            if alpha > 0:
-                cands.append(cat_fock(alpha, ODD, dim))
-            for c in cands:
-                c.check_tail()
-        except fock.TruncationError:
-            continue
-        return dim
-    return fock.DIM_LADDER[-1]

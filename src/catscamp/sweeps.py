@@ -5,7 +5,8 @@ in ascending input size and all numbers are written with 12 significant
 digits, so identical specs produce byte-identical files.  A row that fails
 (for example a truncation error at an extreme parameter) is kept with its
 numeric fields blank and the error message in the trailing ``error``
-column instead of aborting the sweep.
+column instead of aborting the sweep; only engine and domain errors are
+caught, so programming errors still propagate.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fock import TruncationError
+from .optimize import BracketError
 from .pipeline import HALF, T2_95, PipelineConfig, ideal_gain_curve, run_parity_swap
-from .phasespace import overlap
+from .phasespace import PhaseSpaceError, overlap
 from .states import EVEN, cat_chi, optimal_squeezing, squeezed_vacuum_chi
 
 __all__ = [
@@ -138,7 +141,8 @@ def _squeeze_fidelity_row(spec: SweepSpec, alpha: float):
 
 
 def _pipeline_row(spec: SweepSpec, alpha: float):
-    res = run_parity_swap(spec.pipeline_config(alpha))
+    # the probability figure writes no beta* or F*, so it skips the search
+    res = run_parity_swap(spec.pipeline_config(alpha), optimize=spec.figure != "probability")
     return {
         "alpha": alpha,
         "parity": spec.parity,
@@ -189,7 +193,8 @@ def sweep_rows(spec: SweepSpec):
         try:
             values = builder(spec, float(alpha))
             values["error"] = ""
-        except Exception as exc:  # keep the sweep going, mark the row
+        except (PhaseSpaceError, TruncationError, BracketError, ValueError) as exc:
+            # an engine or domain failure marks the row; the sweep goes on
             values = {"alpha": float(alpha), "error": str(exc).replace("\n", " ")}
         rows.append(tuple(format_number(values.get(col)) for col in columns))
     rows.sort(key=lambda row: float(row[0]))

@@ -55,6 +55,22 @@ class TestRun:
         assert code == 2
         assert "eta1" in err
 
+    @pytest.mark.parametrize(
+        "argv,field",
+        [
+            (("--alpha", "nan"), "alpha"),
+            (("--alpha", "inf"), "alpha"),
+            (("--squeezing", "3", "--engine", "fock"), "squeezing"),
+            (("--t1", "1.0"), "t1"),
+        ],
+    )
+    def test_out_of_domain_value_exits_2_with_one_line(self, capsys, argv, field):
+        code, out, err = run_cli(capsys, "run", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert field in err
+
     def test_config_file_precedence(self, capsys, tmp_path):
         cfg = tmp_path / "amp.cfg"
         cfg.write_text("alpha = 0.9\nparity = odd\neta1 = 0.8  # comment\n")
@@ -146,6 +162,33 @@ class TestSweep:
         assert len(lines) == 3
         assert any("tail" in line or "truncation" in line for line in lines[1:])
 
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("not an engine error")
+
+        monkeypatch.setattr(sweeps, "run_parity_swap", broken)
+        spec = SweepSpec(figure="gain", alphas=np.array([0.5]))
+        with pytest.raises(TypeError):
+            sweeps.sweep_rows(spec)
+
+    def test_probability_figure_skips_beta_search(self, monkeypatch):
+        calls = []
+        real = sweeps.run_parity_swap
+        monkeypatch.setattr(sweeps, "run_parity_swap",
+                            lambda cfg, **kw: calls.append(kw) or real(cfg, **kw))
+        sweeps.sweep_rows(SweepSpec(figure="probability", alphas=np.array([0.5])))
+        assert calls == [{"optimize": False}]
+
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        out_path = tmp_path / "missing" / "x.csv"
+        code, _, err = run_cli(
+            capsys, "sweep", "--figure", "squeezing", "--grid", "0.5:1.0:0.5",
+            "--out", str(out_path),
+        )
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(out_path) in err
+
     def test_twelve_significant_digits(self):
         assert sweeps.format_number(1.0 / 3.0) == "0.333333333333"
         assert sweeps.format_number(None) == ""
@@ -186,6 +229,15 @@ class TestWignerCommand:
         )
         assert code == 2
         assert "step" in err
+
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        base = tmp_path / "missing" / "w"
+        code, _, err = run_cli(
+            capsys, "wigner", "--alpha", "0.5", "--grid=-1:1:1", "--out", str(base),
+        )
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "missing" in err
 
 
 class TestValidateCommand:

@@ -116,58 +116,14 @@ class TestLadder:
         cat = cat_fock(1.0, "even", dim)
         lhs, norm = ladder(squeeze_fock(cat, s, check_tail=False), "annihilate")
         low, _ = ladder(cat, "annihilate")
-        high, _ = ladder(cat, "create")
+        high = np.zeros_like(cat.amps)  # a^dag |cat>
+        high[1:] = np.sqrt(np.arange(1, dim)) * cat.amps[:-1]
         rhs = squeeze_fock(
-            FockVector(math.cosh(s) * low.amps - math.sinh(s) * high.amps),
+            FockVector(math.cosh(s) * low.amps - math.sinh(s) * high),
             s, check_tail=False,
         )
         fid = np.abs(np.vdot(lhs.amps / norm, rhs.amps / np.linalg.norm(rhs.amps))) ** 2
         assert fid == pytest.approx(1.0, abs=1e-9)
-
-
-class TestMixedTwoMode:
-    def _mixture(self, dim=30):
-        a1 = np.outer(cat_fock(0.8, "even", dim).amps,
-                      squeezed_vacuum_fock(-0.4, dim).amps)
-        a2 = np.outer(cat_fock(0.8, "odd", dim).amps,
-                      squeezed_vacuum_fock(-0.4, dim).amps)
-        rho = 0.6 * np.einsum("jn,km->jnkm", a1, a1.conj()) \
-            + 0.4 * np.einsum("jn,km->jnkm", a2, a2.conj())
-        return a1, a2, rho
-
-    def test_constructor_needs_exactly_one_form(self):
-        with pytest.raises(ValueError):
-            TwoModeFock()
-        with pytest.raises(ValueError):
-            TwoModeFock(amps=np.zeros((3, 3)), density=np.zeros((3, 3, 3, 3)))
-
-    def test_density_beamsplitter_equals_ensemble(self):
-        a1, a2, rho = self._mixture()
-        out = beamsplitter_fock(TwoModeFock(density=rho), HALF, HALF)
-        o1 = beamsplitter_fock(TwoModeFock(a1), HALF, HALF).amps
-        o2 = beamsplitter_fock(TwoModeFock(a2), HALF, HALF).amps
-        expect = 0.6 * np.einsum("jn,km->jnkm", o1, o1.conj()) \
-            + 0.4 * np.einsum("jn,km->jnkm", o2, o2.conj())
-        assert np.max(np.abs(out.density - expect)) < 1e-12
-        assert out.norm() == pytest.approx(1.0, abs=1e-10)
-
-    def test_density_conditioning_equals_ensemble(self):
-        a1, a2, rho = self._mixture()
-        mixed, p_mixed = condition_fock(TwoModeFock(density=rho), 0, 0.8, "no_click")
-        r1, p1 = condition_fock(TwoModeFock(a1), 0, 0.8, "no_click")
-        r2, p2 = condition_fock(TwoModeFock(a2), 0, 0.8, "no_click")
-        p_ens = 0.6 * p1 + 0.4 * p2
-        ensemble = (0.6 * p1 * r1.matrix + 0.4 * p2 * r2.matrix) / p_ens
-        assert p_mixed == pytest.approx(p_ens, abs=1e-12)
-        assert np.max(np.abs(mixed.matrix - ensemble)) < 1e-12
-
-    def test_density_chi_is_mixture_of_pure_chis(self):
-        a1, a2, rho = self._mixture()
-        xi = (0.3 + 0.1j, -0.2 + 0.4j)
-        val = chi_from_fock(TwoModeFock(density=rho), xi)
-        v1 = chi_from_fock(TwoModeFock(a1), xi)
-        v2 = chi_from_fock(TwoModeFock(a2), xi)
-        assert abs(val - (0.6 * v1 + 0.4 * v2)) < 1e-12
 
 
 class TestConditioning:
@@ -258,9 +214,19 @@ class TestTruncationControl:
             heavy.check_tail()
 
     def test_pipeline_dim_ladder_escalates(self):
-        from catscamp.pipeline import PipelineConfig, _pick_dim
+        # the states the pipeline checks: the input cat and the squeezed vacuum
+        def build(alpha, s):
+            return lambda d: (cat_fock(alpha, "even", d),
+                              squeezed_vacuum_fock(s, d, check_tail=False))
 
-        cfg = PipelineConfig(alpha=1.0, parity="even", engine="fock")
-        assert _pick_dim(cfg, -0.7218177375894052) == 60
-        cfg_small = PipelineConfig(alpha=0.3, parity="even", engine="fock")
-        assert _pick_dim(cfg_small, -0.0891) == 40
+        assert fock.pick_dim(build(1.0, -0.7218177375894052))[0] == 60
+        assert fock.pick_dim(build(0.3, -0.0891))[0] == 40
+
+    def test_picker_uses_pinned_truncation_unchecked(self):
+        heavy = lambda d: (squeezed_vacuum_fock(-1.3, d, check_tail=False),)
+        dim, (state,) = fock.pick_dim(heavy, truncation=40)
+        assert dim == 40 and state.tail_mass() > fock.DEFAULT_TAIL_TOL
+
+    def test_picker_raises_when_no_rung_fits(self):
+        with pytest.raises(TruncationError, match="no ladder truncation"):
+            fock.pick_dim(lambda d: (coherent_fock(8.0, d),))

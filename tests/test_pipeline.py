@@ -12,7 +12,6 @@ from catscamp.pipeline import (
     PipelineConfig,
     fidelity_vs_ideal,
     ideal_gain_curve,
-    optimize_gain,
     run_coherent_scamp,
     run_parity_swap,
     wigner_report,
@@ -60,6 +59,14 @@ class TestConfig:
             (dict(alpha=-0.5), "alpha"),
             (dict(alpha=1.0, engine="magic"), "engine"),
             (dict(alpha=1.0, squeezing="lots"), "squeezing"),
+            (dict(alpha=math.nan), "alpha"),
+            (dict(alpha=math.inf), "alpha"),
+            (dict(alpha=1.0, squeezing=3.0), "squeezing"),
+            (dict(alpha=1.0, squeezing=math.nan), "squeezing"),
+            (dict(alpha=1.0, t1=1.0), "t1"),
+            (dict(alpha=1.0, t2=math.nan), "t2"),
+            (dict(alpha=1.0, eta1=math.nan), "eta1"),
+            (dict(alpha=1.0, eta2=math.inf), "eta2"),
         ],
     )
     def test_invalid_field_named_in_error(self, kwargs, match):
@@ -123,10 +130,10 @@ class TestParitySwap:
         assert rec["gain_intensity"] == pytest.approx(res.gain_amp**2)
 
     def test_optimize_gain_same_parity_diagnostic(self):
-        cfg = PipelineConfig(alpha=1.0, parity="even", engine="chi")
-        beta_opp, f_opp = optimize_gain(cfg)
-        beta_same, f_same = optimize_gain(cfg, target_parity="even")
-        assert f_opp > f_same  # the output really is parity swapped
+        res = run_parity_swap(PipelineConfig(alpha=1.0, parity="even", engine="chi"))
+        betas = np.linspace(0.5, 3.5, 61)  # the beta* search bracket
+        f_same = max(fidelity_vs_ideal(res, b, parity="even") for b in betas)
+        assert res.fidelity_star > f_same  # the output really is parity swapped
 
     def test_tiny_alpha_keeps_interior_maximum(self):
         res = run_parity_swap(PipelineConfig(alpha=0.02, parity="even", t2=T2_99))

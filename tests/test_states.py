@@ -24,7 +24,6 @@ from catscamp.states import (
     cat_squeezed_overlap,
     coherent_chi,
     comparison_channel_params,
-    make_state,
     opposite_parity,
     optimal_squeezing,
     squeeze_chi,
@@ -85,7 +84,7 @@ class TestConstructors:
         assert np.all(amps[0::2] == 0.0)
 
     def test_zero_squeezing_chi_is_vacuum(self):
-        state = make_state("squeezed_vacuum", "chi", s=0.0)
+        state = squeezed_vacuum_chi(0.0)
         xi = np.array([[0.3 + 0.4j], [1.0 - 0.2j]])
         assert np.allclose(state.chi(xi), vacuum_chi().chi(xi), atol=1e-14)
 
@@ -93,8 +92,8 @@ class TestConstructors:
         rng = np.random.default_rng(31)
         pts = rng.normal(scale=1.0, size=(20, 2))
         xi = pts[:, 0] + 1j * pts[:, 1]
-        state = make_state("cat", "chi", alpha=1.0, parity="odd")
-        vec = make_state("cat", "fock", alpha=1.0, parity="odd", dim=50)
+        state = cat_chi(1.0, "odd")
+        vec = cat_fock(1.0, "odd", 50)
         numeric = np.array([chi_from_fock(vec, z) for z in xi])
         assert np.max(np.abs(state.chi(xi[:, None]) - numeric)) < 1e-8
 
@@ -106,20 +105,6 @@ class TestConstructors:
         vec = squeezed_coherent_fock(-0.6, 0.9, 80)
         numeric = np.array([chi_from_fock(vec, z) for z in xi])
         assert np.max(np.abs(state.chi(xi[:, None]) - numeric)) < 1e-8
-
-    def test_guardrails(self):
-        with pytest.raises(ValueError, match="guardrail"):
-            make_state("coherent", "chi", alpha=2.5)
-        with pytest.raises(ValueError, match="guardrail"):
-            make_state("squeezed_vacuum", "fock", s=1.8)
-        # overridable
-        make_state("coherent", "chi", alpha=2.5, alpha_max=3.0)
-
-    def test_unknown_kind_and_rep(self):
-        with pytest.raises(ValueError):
-            make_state("thermal", "chi")
-        with pytest.raises(ValueError):
-            make_state("coherent", "matrix", alpha=1.0)
 
 
 class TestOverlapFormulas:
@@ -234,6 +219,11 @@ class TestSubtractedOverlap:
         coarse = subtracted_squeezed_cat_overlap(1.0, "even", -0.5, 1.3, dim=60)
         fine = subtracted_squeezed_cat_overlap(1.0, "even", -0.5, 1.3, dim=90)
         assert coarse == pytest.approx(fine, abs=1e-9)
+
+    def test_unfit_size_raises_instead_of_truncating(self):
+        # a size-8 cat overflows the whole ladder (its exact value is 1)
+        with pytest.raises(fock.TruncationError):
+            subtracted_squeezed_cat_overlap(8.0, "even", 0.0, 8.0)
 
 
 def test_opposite_parity_helper():
