@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .phasespace import NegligibleEventError, DEFAULT_PROB_FLOOR
 
@@ -196,6 +195,15 @@ def vacuum_vector(dim: int) -> FockVector:
 def annihilator(dim: int) -> np.ndarray:
     """Truncated annihilation matrix, a[n-1, n] = sqrt(n)."""
     return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """scipy's matrix exponential, imported on first use: importing scipy.linalg
+    takes about 28 MiB, and a process that runs only the Gaussian-sum engine
+    never needs it."""
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(a)
 
 
 @functools.lru_cache(maxsize=64)

@@ -20,7 +20,7 @@ class BracketError(Exception):
         self.scan_f = scan_f
 
 
-def golden_section_max(f, lo, hi, tol=1e-6, n_coarse=64, polish_h=4e-3):
+def golden_section_max(f, lo, hi, tol=1e-6, n_coarse=64, polish_h=4e-3, scan=None):
     """Maximize a unimodal scalar function on [lo, hi].
 
     A coarse ``n_coarse``-point scan guards against multimodality and picks
@@ -31,13 +31,17 @@ def golden_section_max(f, lo, hi, tol=1e-6, n_coarse=64, polish_h=4e-3):
     on the same argmax even where the maximum is flat enough that golden
     bracket decisions become noise-driven.  Returns ``(x_star, f_star)``.
 
+    ``scan``, when given, evaluates ``f`` on an array of points in one call
+    and must agree with ``f`` point by point; it replaces the coarse scan's
+    ``n_coarse`` separate calls.
+
     Raises :class:`BracketError` (with the scan attached) when the coarse
     maximum sits on the boundary, i.e. no interior bracket exists.
     """
     if not hi > lo:
         raise ValueError("need hi > lo")
     xs = np.linspace(lo, hi, n_coarse)
-    fs = np.array([f(x) for x in xs])
+    fs = np.array([f(x) for x in xs]) if scan is None else np.asarray(scan(xs), dtype=float)
     best = int(np.argmax(fs))
     if best == 0 or best == n_coarse - 1:
         raise BracketError(

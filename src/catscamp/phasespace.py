@@ -35,6 +35,8 @@ __all__ = [
     "DetectorPOVMChi",
     "NO_CLICK",
     "CLICK",
+    "GaussianSumStack",
+    "TraceRule",
     "tensor",
     "substitute_linear",
     "substitute_beamsplitter",
@@ -249,19 +251,94 @@ def substitute_beamsplitter(
     return substitute_linear(state, lmap)
 
 
-def _gauss_integral(quad: np.ndarray, lin: np.ndarray) -> complex:
-    """int exp(-1/2 r^T A r + b^T r) d^k r for real symmetric A, complex b."""
-    try:
-        chol = np.linalg.cholesky(quad)
-    except np.linalg.LinAlgError as exc:
-        raise NonIntegrableError(
-            "combined quadratic form is not positive definite"
-        ) from exc
-    k = quad.shape[0]
-    # b^T A^-1 b = z^T z with z = L^-1 b (bilinear, not conjugated)
-    z = np.linalg.solve(chol, lin)
-    log_sqrt_det = np.sum(np.log(np.diag(chol)))
-    return np.exp(0.5 * np.sum(z * z) + 0.5 * k * np.log(2.0 * np.pi) - log_sqrt_det)
+@dataclass(frozen=True)
+class GaussianSumStack:
+    """B Gaussian sums on n modes that share their J quadratic forms.
+
+    Row b is sum_j weights[b, j] exp(-1/2 r^T quads[j] r + lins[b, j]^T r),
+    with ``weights`` (B, J) complex, ``quads`` (J, 2n, 2n) real symmetric and
+    ``lins`` (B, J, 2n) complex.  A family of states whose parameters move
+    only the weights and linear parts (cats of varying size) is one stack.
+    """
+
+    n_modes: int
+    weights: np.ndarray
+    quads: np.ndarray
+    lins: np.ndarray
+
+    @classmethod
+    def of(cls, state: GaussianSumState) -> "GaussianSumStack":
+        """The one-row stack holding ``state``."""
+        terms = state.terms
+        return cls(
+            state.n_modes,
+            np.array([[t.weight for t in terms]]),
+            np.stack([t.quad for t in terms]),
+            np.stack([t.lin for t in terms])[None],
+        )
+
+    def row(self, b: int, label: str = "") -> GaussianSumState:
+        """Row ``b`` as a :class:`GaussianSumState`."""
+        terms = tuple(
+            GaussianTerm(self.n_modes, w, q, lin)
+            for w, q, lin in zip(self.weights[b], self.quads, self.lins[b])
+        )
+        return GaussianSumState(self.n_modes, terms, label)
+
+
+class TraceRule:
+    """Trace-rule pairings Tr[A_b S] of the rows A_b of stacks sharing the
+    quadratic forms ``quads`` with one state S of K terms.
+
+    Every term pair (j, k) is the Gaussian integral with matrix
+    Q_j + M_k and linear part l_bj - l_k.  The J*K Cholesky factors do not
+    depend on the row, so they are taken once, here; each call then makes
+    one broadcast solve over all B*J*K pairs.  Raises
+    :class:`NonIntegrableError` if any combined form is not positive
+    definite.
+
+    Every row is computed with the same elementwise operations as a lone
+    term pair, and the weighted pairs are accumulated in order (row term
+    outer, state term inner), so a row's value does not depend on the
+    stack it sits in.
+    """
+
+    def __init__(self, quads: np.ndarray, state: GaussianSumState):
+        self.n_modes = state.n_modes
+        self.quads = np.asarray(quads, dtype=float)
+        if self.quads.shape[1:] != (2 * self.n_modes,) * 2:
+            raise ValueError("overlap requires equal mode counts")
+        self.weights = np.array([t.weight for t in state.terms])
+        self.lins = np.stack([t.lin for t in state.terms])
+        combined = self.quads[:, None] + np.stack([t.quad for t in state.terms])[None]
+        try:
+            self.chol = np.linalg.cholesky(combined)
+        except np.linalg.LinAlgError as exc:
+            raise NonIntegrableError(
+                "combined quadratic form is not positive definite"
+            ) from exc
+        self.log_2pi_half = 0.5 * combined.shape[-1] * np.log(2.0 * np.pi)
+        self.log_sqrt_det = np.sum(
+            np.log(np.diagonal(self.chol, axis1=-2, axis2=-1)), axis=-1
+        )
+
+    def __call__(self, stack: GaussianSumStack) -> np.ndarray:
+        """The B trace-rule values of ``stack`` paired with the state."""
+        if stack.quads is not self.quads and not np.array_equal(stack.quads, self.quads):
+            raise ValueError("stack quadratic forms differ from the factored ones")
+        lin = stack.lins[:, :, None, :] - self.lins
+        # b^T A^-1 b = z^T z with z = L^-1 b (bilinear, not conjugated)
+        z = np.linalg.solve(self.chol, lin[..., None])[..., 0]
+        val = np.exp(0.5 * np.sum(z * z, axis=-1) + self.log_2pi_half
+                     - self.log_sqrt_det)
+        # real part of (w_a w_b) * val in the scalar operation order: numpy's
+        # complex array product may fuse multiply-adds, which moves the last bit
+        wa = stack.weights[:, :, None]
+        wr = wa.real * self.weights.real - wa.imag * self.weights.imag
+        wi = wa.real * self.weights.imag + wa.imag * self.weights.real
+        pairs = (wr * val.real - wi * val.imag).reshape(len(stack.weights), -1)
+        # a running sum, never a pairwise one: add.accumulate adds in order
+        return np.add.accumulate(pairs, axis=1)[:, -1] / np.pi**self.n_modes
 
 
 def overlap(a: GaussianSumState, b: GaussianSumState) -> float:
@@ -270,16 +347,8 @@ def overlap(a: GaussianSumState, b: GaussianSumState) -> float:
     For a pure state paired with any state this is the quantum fidelity.
     Raises :class:`NonIntegrableError` if any term pair fails to converge.
     """
-    if a.n_modes != b.n_modes:
-        raise ValueError("overlap requires equal mode counts")
-    n = a.n_modes
-    total = 0.0 + 0.0j
-    for ta in a.terms:
-        for tb in b.terms:
-            quad = ta.quad + tb.quad
-            lin = ta.lin - tb.lin
-            total += ta.weight * tb.weight * _gauss_integral(quad, lin)
-    return float(total.real / np.pi**n)
+    stack = GaussianSumStack.of(a)
+    return float(TraceRule(stack.quads, b)(stack)[0])
 
 
 def purity(state: GaussianSumState) -> float:

@@ -27,6 +27,7 @@ from .phasespace import (
     DetectorPOVMChi,
     GaussianSumState,
     NegligibleEventError,
+    TraceRule,
     condition,
     overlap,
     substitute_beamsplitter,
@@ -36,6 +37,7 @@ from .phasespace import (
 from .states import (
     EVEN,
     cat_chi,
+    cat_chi_stack,
     cat_fock,
     coherent_chi,
     coherent_fock,
@@ -258,11 +260,23 @@ def _fock_subtraction(rho1: FockDensity, cfg: PipelineConfig):
     return FockDensity(rho_out / p2), p2
 
 
+def _chi_fidelity_curve(out: GaussianSumState, parity: str):
+    """beta -> overlap(cat_chi(beta, parity), out) for an array of beta.
+
+    The Cholesky factors of the cat-output term pairs are taken once here,
+    so every later call, whether the whole coarse scan or one point of the
+    golden-section search, is a single solve over its pairs.
+    """
+    quads = cat_chi_stack(1.0, parity).quads  # the same forms for every size
+    pair = TraceRule(quads, out)
+    return lambda betas: pair(cat_chi_stack(betas, parity))
+
+
 def _beta_bracket(alpha: float):
     return max(0.5 * alpha, 1e-3), 3.0 * alpha + 0.5
 
 
-def _optimize_beta(fid, alpha: float, tol: float = 1e-6):
+def _optimize_beta(fid, alpha: float, tol: float = 1e-6, scan=None):
     """Search the target size on [max(alpha/2, guard), 3 alpha + 1/2].
 
     The lower edge guards the beta > 0 domain of odd targets.  For
@@ -270,10 +284,11 @@ def _optimize_beta(fid, alpha: float, tol: float = 1e-6):
     degenerates to a single photon); the guard-constrained maximum is
     returned in that case.  A maximum at the upper edge is a genuine
     bracketing failure and propagates with the coarse scan attached.
+    ``scan`` is passed on to :func:`golden_section_max`.
     """
     lo, hi = _beta_bracket(alpha)
     try:
-        return golden_section_max(fid, lo, hi, tol=tol)
+        return golden_section_max(fid, lo, hi, tol=tol, scan=scan)
     except BracketError as exc:
         if exc.scan_f is not None and int(np.argmax(exc.scan_f)) == 0:
             return float(lo), float(fid(lo))
@@ -303,8 +318,9 @@ def run_parity_swap(cfg: PipelineConfig, optimize: bool = True) -> PipelineResul
         out_chi, p2 = _chi_subtraction(kept, cfg)
         beta = fstar = None
         if optimize:
+            curve = _chi_fidelity_curve(out_chi, cfg.target_parity)
             beta, fstar = _optimize_beta(
-                lambda b: overlap(cat_chi(b, cfg.target_parity), out_chi), cfg.alpha
+                lambda b: float(curve(b)[0]), cfg.alpha, scan=curve
             )
         records["chi"] = EngineRecord(p1, p2, beta, fstar)
 

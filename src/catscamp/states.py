@@ -23,7 +23,7 @@ import numpy as np
 
 from . import fock
 from .fock import FockVector
-from .phasespace import GaussianSumState, GaussianTerm, substitute_linear
+from .phasespace import GaussianSumStack, GaussianSumState, GaussianTerm, substitute_linear
 
 __all__ = [
     "EVEN",
@@ -40,6 +40,7 @@ __all__ = [
     "squeezed_vacuum_chi",
     "squeezed_coherent_chi",
     "cat_chi",
+    "cat_chi_stack",
     "squeeze_chi",
     "coherent_fock",
     "cat_fock",
@@ -183,6 +184,33 @@ def squeezed_coherent_chi(s: float, alpha: float) -> GaussianSumState:
     return GaussianSumState(1, (term,), f"squeezed_coherent(s={s:g},a={alpha:g})")
 
 
+_CAT_QUADS = np.stack([np.eye(2)] * 4)
+_CAT_QUADS.setflags(write=False)
+
+
+def cat_chi_stack(alphas, parity: str) -> GaussianSumStack:
+    """:func:`cat_chi` for an array of sizes, one stack row per size.
+
+    All four terms of every cat share the quadratic form I, so a family of
+    cats is one :class:`GaussianSumStack` whose rows differ only in their
+    weights and linear parts.
+    """
+    specs = [CatSpec(a, parity) for a in np.atleast_1d(alphas)]
+    sign = parity_sign(parity)
+    a = np.array([spec.alpha for spec in specs])
+    weights = np.empty((len(specs), 4), dtype=complex)
+    for row, spec in zip(weights, specs):
+        norm2 = spec.norm_squared()
+        row[:2] = norm2
+        row[2:] = norm2 * sign * math.exp(-2.0 * spec.alpha * spec.alpha)
+    lins = np.zeros((len(specs), 4, 2), dtype=complex)
+    lins.imag[:, 0, 1] = 2.0 * a
+    lins.imag[:, 1, 1] = -2.0 * a
+    lins.real[:, 2, 0] = -2.0 * a
+    lins.real[:, 3, 0] = 2.0 * a
+    return GaussianSumStack(1, weights, _CAT_QUADS, lins)
+
+
 def cat_chi(alpha: float, parity: str) -> GaussianSumState:
     """Four-Gaussian characteristic function of an even/odd cat state.
 
@@ -190,19 +218,8 @@ def cat_chi(alpha: float, parity: str) -> GaussianSumState:
     populations) plus two real-linear interference terms weighted by
     +-exp(-2 alpha^2).
     """
-    spec = CatSpec(alpha, parity)
-    a = spec.alpha
-    sign = parity_sign(parity)
-    norm2 = spec.norm_squared()
-    eye = np.eye(2)
-    cross = norm2 * sign * math.exp(-2.0 * a * a)
-    terms = (
-        GaussianTerm(1, norm2, eye, np.array([0.0, 2.0j * a])),
-        GaussianTerm(1, norm2, eye, np.array([0.0, -2.0j * a])),
-        GaussianTerm(1, cross, eye, np.array([-2.0 * a, 0.0])),
-        GaussianTerm(1, cross, eye, np.array([2.0 * a, 0.0])),
-    )
-    return GaussianSumState(1, terms, f"cat({a:g},{parity})")
+    stack = cat_chi_stack(alpha, parity)
+    return stack.row(0, f"cat({float(alpha):g},{parity})")
 
 
 def squeeze_chi(state: GaussianSumState, s: float) -> GaussianSumState:

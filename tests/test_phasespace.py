@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from catscamp import fock
 from catscamp.fock import TwoModeFock, chi_from_fock
@@ -15,9 +17,12 @@ from catscamp.phasespace import (
     CLICK,
     NO_CLICK,
     DetectorPOVMChi,
+    GaussianSumStack,
     GaussianSumState,
     GaussianTerm,
     NegligibleEventError,
+    NonIntegrableError,
+    TraceRule,
     condition,
     outcome_probability,
     overlap,
@@ -27,8 +32,10 @@ from catscamp.phasespace import (
     validate_state,
     wigner,
 )
+from catscamp.pipeline import PipelineConfig, run_parity_swap
 from catscamp.states import (
     cat_chi,
+    cat_chi_stack,
     cat_fock,
     coherent_chi,
     squeezed_vacuum_chi,
@@ -140,6 +147,112 @@ class TestOverlap:
     def test_mode_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             overlap(vacuum_chi(), tensor(vacuum_chi(), vacuum_chi()))
+
+    def test_non_integrable_pair_raises_engine_error(self):
+        # quad = -2 I against the vacuum's I: the combined form is -I
+        bad = GaussianSumState(1, (GaussianTerm(1, 1.0, -2.0 * np.eye(2), np.zeros(2)),))
+        with pytest.raises(NonIntegrableError):
+            overlap(bad, vacuum_chi())
+        with pytest.raises(NonIntegrableError):
+            TraceRule(cat_chi_stack([0.5, 1.0], "odd").quads, bad)
+
+
+def per_pair_overlap(a, b):
+    """The trace rule one term pair at a time: the engine's original loop,
+    kept here verbatim as the bit-level oracle of the stacked kernel."""
+
+    def gauss_integral(quad, lin):
+        chol = np.linalg.cholesky(quad)
+        k = quad.shape[0]
+        z = np.linalg.solve(chol, lin)
+        log_sqrt_det = np.sum(np.log(np.diag(chol)))
+        return np.exp(0.5 * np.sum(z * z) + 0.5 * k * np.log(2.0 * np.pi) - log_sqrt_det)
+
+    total = 0.0 + 0.0j
+    for ta in a.terms:
+        for tb in b.terms:
+            total += ta.weight * tb.weight * gauss_integral(ta.quad + tb.quad, ta.lin - tb.lin)
+    return float(total.real / np.pi**a.n_modes)
+
+
+class TestStackedKernel:
+    """Every value of the stacked kernel equals the per-pair loop exactly."""
+
+    @given(
+        alpha=st.floats(0.2, 2.0),
+        parity=st.sampled_from(["even", "odd"]),
+        eta=st.floats(0.6, 1.0),
+        t2_sq=st.floats(0.90, 0.99),
+        n_grid=st.integers(1, 64),
+        extra=st.lists(st.floats(0.05, 6.5), max_size=8),
+    )
+    def test_rows_equal_per_pair_loop(self, alpha, parity, eta, t2_sq, n_grid, extra):
+        cfg = PipelineConfig(alpha=alpha, parity=parity, t2=math.sqrt(t2_sq),
+                             eta1=eta, eta2=eta)
+        out = run_parity_swap(cfg, optimize=False).output_chi
+        target = cfg.target_parity
+        betas = np.concatenate([np.linspace(0.5 * alpha, 3.0 * alpha + 0.5, n_grid), extra])
+        stack = cat_chi_stack(betas, target)
+        values = TraceRule(stack.quads, out)(stack)
+        assert values.shape == betas.shape
+        for beta, value in zip(betas, values):
+            expected = per_pair_overlap(cat_chi(beta, target), out)
+            assert value == expected
+            assert overlap(cat_chi(beta, target), out) == expected
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_modes=st.integers(1, 2),
+        n_a=st.integers(1, 5),
+        n_b=st.integers(1, 5),
+    )
+    def test_complex_weight_states_equal_per_pair_loop(self, seed, n_modes, n_a, n_b):
+        # pipeline states carry real weights; complex ones also exercise the
+        # imaginary half of every weight product
+        rng = np.random.default_rng(seed)
+        d = 2 * n_modes
+
+        def random_state(n_terms):
+            terms = []
+            for _ in range(n_terms):
+                m = rng.normal(size=(d, d))
+                terms.append(GaussianTerm(n_modes, complex(*rng.normal(size=2)),
+                                          m @ m.T + 0.5 * np.eye(d),
+                                          rng.normal(size=d) + 1j * rng.normal(size=d)))
+            return GaussianSumState(n_modes, tuple(terms))
+
+        a, b = random_state(n_a), random_state(n_b)
+        assert overlap(a, b) == per_pair_overlap(a, b)
+
+    def test_two_mode_purity_equals_per_pair_loop(self):
+        joint = tensor(cat_chi(1.1, "odd"), squeezed_vacuum_chi(-0.6))
+        joint = substitute_beamsplitter(joint, 0, 1, HALF, HALF)
+        assert joint.n_modes == 2 and joint.n_terms == 4
+        assert purity(joint) == per_pair_overlap(joint, joint)
+
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_stacked_cat_rows_equal_term_by_term_cat(self, parity):
+        betas = [0.3, 1.0, 2.4]
+        stack = cat_chi_stack(betas, parity)
+        for b, beta in enumerate(betas):
+            # the four terms written out one by one
+            norm2 = (1.0 / (2.0 + 2.0 * math.exp(-2.0 * beta**2)) if parity == "even"
+                     else 1.0 / (-2.0 * math.expm1(-2.0 * beta**2)))
+            cross = norm2 * (1 if parity == "even" else -1) * math.exp(-2.0 * beta * beta)
+            expected = [(norm2, [0.0, 2.0j * beta]), (norm2, [0.0, -2.0j * beta]),
+                        (cross, [-2.0 * beta, 0.0]), (cross, [2.0 * beta, 0.0])]
+            for term, (weight, lin) in zip(stack.row(b).terms, expected):
+                assert term.weight == weight
+                assert np.array_equal(term.quad, np.eye(2))
+                assert np.array_equal(term.lin, np.array(lin, dtype=complex))
+            single = cat_chi(beta, parity).terms
+            assert all(t.weight == u.weight and np.array_equal(t.lin, u.lin)
+                       for t, u in zip(single, stack.row(b).terms))
+
+    def test_mismatched_quadratic_forms_rejected(self):
+        pair = TraceRule(cat_chi_stack(1.0, "even").quads, vacuum_chi())
+        with pytest.raises(ValueError):
+            pair(GaussianSumStack.of(squeezed_vacuum_chi(0.3)))
 
 
 class TestCondition:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from catscamp.optimize import BracketError, golden_section_max
+from catscamp.phasespace import GaussianSumState, GaussianTerm, NonIntegrableError, overlap
 from catscamp.pipeline import (
     T2_95,
     T2_99,
@@ -16,6 +17,8 @@ from catscamp.pipeline import (
     run_parity_swap,
     wigner_report,
 )
+from catscamp.pipeline import _beta_bracket, _chi_fidelity_curve, _optimize_beta
+from catscamp.states import cat_chi
 
 
 class TestGoldenSection:
@@ -40,6 +43,45 @@ class TestGoldenSection:
         x1, _ = golden_section_max(f, 0.0, 1.0)
         x2, _ = golden_section_max(lambda x: f(x) + 3e-11 * x, 0.0, 1.0)
         assert abs(x1 - x2) < 1e-6  # tiny perturbation cannot move the argmax
+
+    @pytest.mark.parametrize("f", [
+        lambda x: 1.0 - (x - 0.37) ** 2,
+        lambda x: 1.0 - 1e-3 * (x - 0.5) ** 2,
+        lambda x: math.exp(-((x - 0.8) ** 2)) * math.cos(3.0 * x),
+    ])
+    def test_batched_scan_returns_the_same_optimum(self, f):
+        assert golden_section_max(f, 0.0, 1.0, scan=np.vectorize(f)) == golden_section_max(f, 0.0, 1.0)
+
+    def test_batched_scan_attached_to_bracket_error(self):
+        f = lambda x: x
+        with pytest.raises(BracketError) as per_point:
+            golden_section_max(f, 0.0, 1.0)
+        with pytest.raises(BracketError) as batched:
+            golden_section_max(f, 0.0, 1.0, scan=np.vectorize(f))
+        assert np.array_equal(batched.value.scan_x, per_point.value.scan_x)
+        assert np.array_equal(batched.value.scan_f, per_point.value.scan_f)
+        assert np.array_equal(batched.value.scan_f, np.linspace(0.0, 1.0, 64))
+
+    def test_lower_guard_fallback_fires_with_scan(self):
+        f = lambda b: 1.0 - b  # keeps rising toward beta = 0
+        lo, _ = _beta_bracket(0.8)
+        assert _optimize_beta(f, 0.8, scan=np.vectorize(f)) == (lo, f(lo))
+        assert _optimize_beta(f, 0.8) == (lo, f(lo))
+
+    @pytest.mark.parametrize("parity, eta", [("even", 1.0), ("odd", 0.8)])
+    def test_chi_search_equals_per_point_overlap_search(self, parity, eta):
+        cfg = PipelineConfig(alpha=1.2, parity=parity, eta1=eta, eta2=eta)
+        res = run_parity_swap(cfg)
+        per_point = golden_section_max(
+            lambda b: overlap(cat_chi(b, cfg.target_parity), res.output_chi),
+            *_beta_bracket(cfg.alpha))
+        assert (res.beta_star, res.fidelity_star) == per_point
+
+    def test_chi_search_non_integrable_output_raises_engine_error(self):
+        bad = GaussianSumState(1, (GaussianTerm(1, 1.0, -2.0 * np.eye(2), np.zeros(2)),))
+        with pytest.raises(NonIntegrableError):
+            curve = _chi_fidelity_curve(bad, "odd")
+            _optimize_beta(lambda b: float(curve(b)[0]), 1.0, scan=curve)
 
 
 class TestConfig:
