@@ -3,8 +3,9 @@
 Everything here is exact up to the truncation: states are dense complex
 vectors/matrices over |0>, ..., |dim-1>, unitaries are built by matrix
 exponentials (padded and cropped for single-mode operators, blockwise over
-total-photon-number sectors for the beamsplitter), and detector outcomes use
-the Kelley-Kleiner POVM diag((1-eta)^n).  This engine is the independent
+total-photon-number sectors for the stage-1 beamsplitter), photon subtraction
+is the pure-loss Kraus sum on the single-mode density, and detector outcomes
+use the Kelley-Kleiner POVM diag((1-eta)^n).  This engine is the independent
 oracle for every result of :mod:`catscamp.phasespace`.
 """
 
@@ -33,6 +34,7 @@ __all__ = [
     "ladder",
     "noclick_weights",
     "condition_fock",
+    "subtract_fock",
     "fidelity_fock",
     "chi_from_fock",
     "hermite_functions",
@@ -278,24 +280,14 @@ def _beamsplitter_blocks(t: float, r: float, dim: int):
         lo = max(0, total - dim + 1)
         hi = min(total, dim - 1)
         m = np.arange(lo, hi + 1)
-        size = m.size
-        gen = np.zeros((size, size))
-        for idx, mm in enumerate(m):
-            # b^dag a : |m, total-m> -> sqrt(m (total-m+1)) |m-1, total-m+1>
-            if mm - 1 >= lo:
-                gen[idx - 1, idx] += np.sqrt(mm * (total - mm + 1))
-            # -a^dag b : |m, total-m> -> -sqrt((m+1)(total-m)) |m+1, total-m-1>
-            if mm + 1 <= hi:
-                gen[idx + 1, idx] -= np.sqrt((mm + 1) * (total - mm))
+        idx = np.arange(1, m.size)
+        gen = np.zeros((m.size, m.size))
+        # b^dag a : |m, total-m> -> sqrt(m (total-m+1)) |m-1, total-m+1>
+        gen[idx - 1, idx] += np.sqrt(m[1:] * (total - m[1:] + 1))
+        # -a^dag b : |m, total-m> -> -sqrt((m+1)(total-m)) |m+1, total-m-1>
+        gen[idx, idx - 1] -= np.sqrt((m[:-1] + 1) * (total - m[:-1]))
         blocks.append((m, expm(theta * gen).astype(complex)))
     return tuple(blocks)
-
-
-def _apply_blocks(amps: np.ndarray, blocks) -> np.ndarray:
-    out = np.zeros_like(amps)
-    for total, (m, block) in enumerate(blocks):
-        out[m, total - m] = block @ amps[m, total - m]
-    return out
 
 
 def beamsplitter_fock(state: TwoModeFock, t: float, r: float) -> TwoModeFock:
@@ -305,8 +297,10 @@ def beamsplitter_fock(state: TwoModeFock, t: float, r: float) -> TwoModeFock:
     d1, d2 = state.dims
     if d1 != d2:
         raise ValueError("beamsplitter requires equal mode dimensions")
-    blocks = _beamsplitter_blocks(float(t), float(r), d1)
-    return TwoModeFock(_apply_blocks(state.amps, blocks))
+    out = np.zeros_like(state.amps)
+    for total, (m, block) in enumerate(_beamsplitter_blocks(float(t), float(r), d1)):
+        out[m, total - m] = block @ state.amps[m, total - m]
+    return TwoModeFock(out)
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +341,30 @@ def condition_fock(
             f"outcome '{outcome}' probability {prob:.3e} below floor {prob_floor:.1e}"
         )
     return FockDensity(rho / prob), prob
+
+
+def subtract_fock(rho: FockDensity, t: float, r: float, eta: float,
+                  prob_floor: float = DEFAULT_PROB_FLOOR):
+    """Photon subtraction on a single-mode density: a splitter (t, r) with a
+    vacuum ancilla whose reflected arm must click.  That splitter is the pure-loss
+    channel K_k|n> = sqrt(C(n, k)) t^(n-k) r^k |n-k>, so the kept mode is
+    sum_{k>=1} (1 - (1-eta)^k) K_k rho K_k^dag.  Returns the renormalized
+    ``(FockDensity, probability)``."""
+    dim = rho.dim
+    n = np.arange(dim)
+    ks = n[1:, None]
+    # C(n, k) = C(n, k-1) (n-k+1) / k down the rows: zero for k > n
+    comb = np.cumprod(np.vstack([np.ones(dim), np.maximum(n - ks + 1, 0) / ks]), axis=0)
+    click = 1.0 - noclick_weights(eta, dim)
+    # amp[k, n] = sqrt(1 - (1-eta)^k) <n-k| K_k |n>
+    amp = np.sqrt(comb * click[:, None]) * t ** np.maximum(n - n[:, None], 0) * r ** n[:, None]
+    out = np.zeros((dim, dim), dtype=complex)
+    for k in range(1, dim):
+        out[:dim - k, :dim - k] += np.outer(amp[k, k:], amp[k, k:]) * rho.matrix[k:, k:]
+    prob = float(np.trace(out).real)
+    if prob < prob_floor:
+        raise NegligibleEventError(f"click probability {prob:.3e} below floor {prob_floor:.1e}")
+    return FockDensity(out / prob), prob
 
 
 def fidelity_fock(pure, rho) -> float:

@@ -238,26 +238,8 @@ def _fock_comparison(input_vec, guess_vec, cfg: PipelineConfig):
 
 
 def _fock_subtraction(rho1: FockDensity, cfg: PipelineConfig):
-    """Stage 2 in the number-basis engine.  Returns ``(rho_out, p2)``.
-
-    The eigenvector ensemble of rho1 goes through the subtraction splitter
-    one vector at a time, so the two-mode objects stay vectors.
-    """
-    dim = rho1.dim
-    evals, evecs = np.linalg.eigh(rho1.matrix)
-    keep = evals > max(1e-14, 1e-14 * float(evals.max()))
-    click_w = 1.0 - fock.noclick_weights(cfg.eta2, dim)
-    rho_out = np.zeros((dim, dim), dtype=complex)
-    vac = np.zeros(dim, dtype=complex)
-    vac[0] = 1.0
-    for lam, vec in zip(evals[keep], evecs[:, keep].T):
-        two = fock.beamsplitter_fock(TwoModeFock(np.outer(vec, vac)), cfg.t2, cfg.r2)
-        amps = two.amps  # kept mode first, detector arm second
-        rho_out += lam * np.einsum("jn,n,kn->jk", amps, click_w, amps.conj())
-    p2 = float(np.trace(rho_out).real)
-    if p2 < 1e-12:
-        raise NegligibleEventError(f"stage-2 click probability {p2:.3e} below floor")
-    return FockDensity(rho_out / p2), p2
+    """Stage 2 in the number-basis engine.  Returns ``(rho_out, p2)``."""
+    return fock.subtract_fock(rho1, cfg.t2, cfg.r2, cfg.eta2)
 
 
 def _chi_fidelity_curve(out: GaussianSumState, parity: str):

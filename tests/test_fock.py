@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from catscamp import fock
 from catscamp.fock import (
+    FockDensity,
     FockVector,
     TwoModeFock,
     TruncationError,
@@ -18,6 +21,8 @@ from catscamp.fock import (
     squeeze_fock,
     vacuum_vector,
 )
+from catscamp.phasespace import NegligibleEventError
+from catscamp.pipeline import PipelineConfig, _fock_comparison, _fock_subtraction
 from catscamp.states import (
     cat_fock,
     coherent_fock,
@@ -57,6 +62,111 @@ class TestBeamsplitter:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             beamsplitter_fock(TwoModeFock(np.zeros((4, 5), dtype=complex)), HALF, HALF)
+
+
+def element_loop_blocks(t: float, r: float, dim: int):
+    """The splitter's sector blocks with the generator filled one element at
+    a time: the engine's original loop, kept here verbatim as the bit-level
+    oracle of the vectorized fill."""
+    theta = float(np.arctan2(r, t))
+    blocks = []
+    for total in range(2 * dim - 1):
+        lo = max(0, total - dim + 1)
+        hi = min(total, dim - 1)
+        m = np.arange(lo, hi + 1)
+        size = m.size
+        gen = np.zeros((size, size))
+        for idx, mm in enumerate(m):
+            # b^dag a : |m, total-m> -> sqrt(m (total-m+1)) |m-1, total-m+1>
+            if mm - 1 >= lo:
+                gen[idx - 1, idx] += np.sqrt(mm * (total - mm + 1))
+            # -a^dag b : |m, total-m> -> -sqrt((m+1)(total-m)) |m+1, total-m-1>
+            if mm + 1 <= hi:
+                gen[idx + 1, idx] -= np.sqrt((mm + 1) * (total - mm))
+        blocks.append((m, fock.expm(theta * gen).astype(complex)))
+    return tuple(blocks)
+
+
+class TestBeamsplitterBlocks:
+    @pytest.mark.parametrize("dim", [5, 40, 60, 100])
+    @pytest.mark.parametrize("t,r", [
+        (HALF, HALF),
+        (math.sqrt(0.95), math.sqrt(0.05)),
+        (math.cos(1.3), math.sin(1.3)),
+        (math.sqrt(0.7), -math.sqrt(0.3)),
+    ])
+    def test_blocks_equal_element_loop(self, t, r, dim):
+        blocks = fock._beamsplitter_blocks(t, r, dim)
+        expected = element_loop_blocks(t, r, dim)
+        assert len(blocks) == len(expected) == 2 * dim - 1
+        for (m, block), (m_exp, block_exp) in zip(blocks, expected):
+            assert np.array_equal(m, m_exp)
+            assert np.array_equal(block, block_exp)
+
+
+def ensemble_subtraction(rho1: FockDensity, cfg: PipelineConfig):
+    """Stage 2 by the eigenvector ensemble of rho1 through a two-mode
+    splitter with a vacuum ancilla: the pipeline's original stage, kept here
+    verbatim as the oracle of the Kraus sum.  Returns ``(rho_out, p2)``.
+
+    The eigenvector ensemble of rho1 goes through the subtraction splitter
+    one vector at a time, so the two-mode objects stay vectors.
+    """
+    dim = rho1.dim
+    evals, evecs = np.linalg.eigh(rho1.matrix)
+    keep = evals > max(1e-14, 1e-14 * float(evals.max()))
+    click_w = 1.0 - fock.noclick_weights(cfg.eta2, dim)
+    rho_out = np.zeros((dim, dim), dtype=complex)
+    vac = np.zeros(dim, dtype=complex)
+    vac[0] = 1.0
+    for lam, vec in zip(evals[keep], evecs[:, keep].T):
+        two = fock.beamsplitter_fock(TwoModeFock(np.outer(vec, vac)), cfg.t2, cfg.r2)
+        amps = two.amps  # kept mode first, detector arm second
+        rho_out += lam * np.einsum("jn,n,kn->jk", amps, click_w, amps.conj())
+    p2 = float(np.trace(rho_out).real)
+    if p2 < 1e-12:
+        raise NegligibleEventError(f"stage-2 click probability {p2:.3e} below floor")
+    return FockDensity(rho_out / p2), p2
+
+
+class TestSubtraction:
+    @given(
+        alpha=st.floats(0.2, 1.5),
+        parity=st.sampled_from(["even", "odd"]),
+        t2_sq=st.floats(0.90, 0.99),
+        eta1=st.floats(0.6, 1.0),
+        eta2=st.floats(0.6, 1.0),
+    )
+    def test_kraus_sum_matches_splitter_ensemble(self, alpha, parity, t2_sq, eta1, eta2):
+        cfg = PipelineConfig(alpha=alpha, parity=parity, t2=math.sqrt(t2_sq),
+                             eta1=eta1, eta2=eta2, engine="fock")
+        s = cfg.squeezing_value()
+        _, (cat, guess) = fock.pick_dim(
+            lambda d: (cat_fock(alpha, parity, d), squeezed_vacuum_fock(s, d, check_tail=False))
+        )
+        rho1, _ = _fock_comparison(cat, guess, cfg)
+        rho_out, p2 = _fock_subtraction(rho1, cfg)
+        expected, p2_expected = ensemble_subtraction(rho1, cfg)
+        assert abs(p2 - p2_expected) <= 1e-13
+        # compared before renormalization: the oracle drops eigenvalues of rho1
+        # below 1e-14, which the division by a small p2 magnifies
+        gap = p2 * rho_out.matrix - p2_expected * expected.matrix
+        assert np.max(np.abs(gap)) <= 1e-13
+
+    def test_two_photons_closed_form(self):
+        # |2> loses one photon (prob 2 t^2 r^2, detected w.p. eta) or two
+        # (prob r^4, detected w.p. 1 - (1-eta)^2)
+        t, r, eta = math.sqrt(0.9), math.sqrt(0.1), 0.7
+        rho = np.zeros((6, 6))
+        rho[2, 2] = 1.0
+        out, p = fock.subtract_fock(FockDensity(rho), t, r, eta)
+        one, two = eta * 2 * t * t * r * r, (1.0 - (1.0 - eta) ** 2) * r**4
+        assert p == pytest.approx(one + two, abs=1e-15)
+        assert out.populations() == pytest.approx([two / p, one / p, 0, 0, 0, 0], abs=1e-15)
+
+    def test_vacuum_never_clicks(self):
+        with pytest.raises(NegligibleEventError):
+            fock.subtract_fock(FockDensity(np.diag([1.0, 0, 0, 0])), HALF, HALF, 1.0)
 
 
 class TestSqueeze:

@@ -1,10 +1,17 @@
 """Amplifier pipeline: protocols, optimization, gain curves, Wigner report."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import catscamp
 from catscamp.optimize import BracketError, golden_section_max
 from catscamp.phasespace import GaussianSumState, GaussianTerm, NonIntegrableError, overlap
 from catscamp.pipeline import (
@@ -131,6 +138,19 @@ class TestParitySwap:
         assert res.agreement_max_diff < 1e-6
         assert set(res.records) == {"chi", "fock"}
 
+    @given(
+        alpha=st.floats(0.2, 1.5),
+        parity=st.sampled_from(["even", "odd"]),
+        t2_sq=st.floats(0.90, 0.99),
+        eta1=st.floats(0.6, 1.0),
+        eta2=st.floats(0.6, 1.0),
+    )
+    def test_engines_agree_over_domain(self, alpha, parity, t2_sq, eta1, eta2):
+        # alpha >= 1.6 needs a truncation above the ladder's 100
+        res = run_parity_swap(PipelineConfig(alpha=alpha, parity=parity, t2=math.sqrt(t2_sq),
+                                             eta1=eta1, eta2=eta2, engine="both"))
+        assert res.engines_agree is True
+
     def test_output_parity_is_swapped(self):
         res = run_parity_swap(
             PipelineConfig(alpha=1.0, parity="even", t2=T2_99, engine="fock"),
@@ -209,6 +229,7 @@ class TestCoherentBaseline:
         cfg = PipelineConfig(alpha=1.0, t2=T2_99, engine="fock")
         res = run_coherent_scamp(1.0, -1, cfg)
         assert res.p_noclick_stage1 == pytest.approx(math.exp(-2.0), abs=1e-8)
+        assert res.p_click_stage2 == 0.0
 
     def test_imbalanced_splitter_wrong_guess_survivor(self):
         t1 = math.sqrt(0.8)
@@ -266,3 +287,24 @@ class TestWignerReport:
             for eta in (0.6, 0.8, 1.0)
         ]
         assert max(stars) - min(stars) <= 2e-3
+
+
+def test_chi_engine_never_imports_scipy():
+    # importing scipy.linalg costs about 28 MiB of resident memory, so the
+    # number-basis engine imports it on first use only
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from catscamp.pipeline import PipelineConfig, run_parity_swap\n"
+        "from catscamp.sweeps import SweepSpec, sweep_rows\n"
+        "run_parity_swap(PipelineConfig(alpha=1.0, engine='chi'))\n"
+        "sweep_rows(SweepSpec(figure='gain', alphas=np.array([0.5, 1.0]), engine='chi'))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(catscamp.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
