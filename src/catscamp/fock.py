@@ -343,13 +343,13 @@ def condition_fock(
     return FockDensity(rho / prob), prob
 
 
-def subtract_fock(rho: FockDensity, t: float, r: float, eta: float,
-                  prob_floor: float = DEFAULT_PROB_FLOOR):
-    """Photon subtraction on a single-mode density: a splitter (t, r) with a
-    vacuum ancilla whose reflected arm must click.  That splitter is the pure-loss
-    channel K_k|n> = sqrt(C(n, k)) t^(n-k) r^k |n-k>, so the kept mode is
-    sum_{k>=1} (1 - (1-eta)^k) K_k rho K_k^dag.  Returns the renormalized
-    ``(FockDensity, probability)``."""
+def subtract_fock(rho: FockDensity, t: float, r: float, eta: float):
+    """Photon subtraction on a single-mode density: a splitter (t, r) with a vacuum
+    ancilla whose reflected arm must click.  That splitter is the pure-loss channel
+    K_k|n> = sqrt(C(n, k)) t^(n-k) r^k |n-k>, so the kept mode is sum_{k>=1}
+    (1 - (1-eta)^k) K_k rho K_k^dag, returned renormalized with its probability."""
+    if abs(t * t + r * r - 1.0) > 1e-12:
+        raise ValueError(f"(t, r) = ({t}, {r}) is not unitary: t^2 + r^2 != 1")
     dim = rho.dim
     n = np.arange(dim)
     ks = n[1:, None]
@@ -362,8 +362,8 @@ def subtract_fock(rho: FockDensity, t: float, r: float, eta: float,
     for k in range(1, dim):
         out[:dim - k, :dim - k] += np.outer(amp[k, k:], amp[k, k:]) * rho.matrix[k:, k:]
     prob = float(np.trace(out).real)
-    if prob < prob_floor:
-        raise NegligibleEventError(f"click probability {prob:.3e} below floor {prob_floor:.1e}")
+    if prob < DEFAULT_PROB_FLOOR:
+        raise NegligibleEventError(f"click probability {prob:.3e} below floor")
     return FockDensity(out / prob), prob
 
 

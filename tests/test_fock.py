@@ -148,10 +148,13 @@ class TestSubtraction:
         rho_out, p2 = _fock_subtraction(rho1, cfg)
         expected, p2_expected = ensemble_subtraction(rho1, cfg)
         assert abs(p2 - p2_expected) <= 1e-13
-        # compared before renormalization: the oracle drops eigenvalues of rho1
-        # below 1e-14, which the division by a small p2 magnifies
+        # the oracle drops eigenvalues of rho1 below 1e-14, which the division
+        # by a small p2 magnifies: the unnormalized states are held tight, the
+        # renormalized ones where p2 keeps that cutoff out of reach
         gap = p2 * rho_out.matrix - p2_expected * expected.matrix
-        assert np.max(np.abs(gap)) <= 1e-13
+        assert np.max(np.abs(gap)) <= 1e-14
+        if p2 >= 1e-2:
+            assert np.max(np.abs(rho_out.matrix - expected.matrix)) <= 1e-12
 
     def test_two_photons_closed_form(self):
         # |2> loses one photon (prob 2 t^2 r^2, detected w.p. eta) or two
@@ -167,6 +170,10 @@ class TestSubtraction:
     def test_vacuum_never_clicks(self):
         with pytest.raises(NegligibleEventError):
             fock.subtract_fock(FockDensity(np.diag([1.0, 0, 0, 0])), HALF, HALF, 1.0)
+
+    def test_non_unitary_splitter_rejected(self):
+        with pytest.raises(ValueError, match="not unitary"):
+            fock.subtract_fock(FockDensity(np.diag([0.0, 1.0, 0, 0])), 0.9, 0.9, 1.0)
 
 
 class TestSqueeze:
