@@ -22,13 +22,7 @@ from catscamp import (
     squeeze_fock,
 )
 from catscamp.fock import vacuum_vector
-from catscamp.states import (
-    cat_chi,
-    cat_fock,
-    coherent_fock,
-    squeezed_vacuum_amps_direct,
-    squeezed_vacuum_fock,
-)
+from catscamp.states import cat_chi, cat_fock, coherent_fock, squeezed_vacuum_fock
 
 DIM = 60
 HALF = math.sqrt(0.5)
@@ -38,7 +32,7 @@ HALF = math.sqrt(0.5)
 # ---------------------------------------------------------------------------
 s = -0.7218177375894052
 built = squeeze_fock(vacuum_vector(DIM), s)
-series = squeezed_vacuum_amps_direct(s, DIM)
+series = squeezed_vacuum_fock(s, DIM).amps
 print(f"squeezed vacuum, expm vs series: max |diff| = "
       f"{np.max(np.abs(built.amps - series)):.3e}")
 print(f"even-number support only: odd amplitudes sum to "

@@ -1,9 +1,10 @@
 """Brute-force truncated photon-number-basis engine.
 
 Everything here is exact up to the truncation: states are dense complex
-vectors/matrices over |0>, ..., |dim-1>, unitaries are built by matrix
-exponentials (padded and cropped for single-mode operators, blockwise over
-total-photon-number sectors for the stage-1 beamsplitter), photon subtraction
+vectors/matrices over |0>, ..., |dim-1>, single-mode unitaries are matrix
+exponentials padded and cropped, the stage-1 beamsplitter acts block by block
+on total-photon-number sectors (built by recurrence where the truncation
+holds a sector whole, exponentiated where it clips one), photon subtraction
 is the pure-loss Kraus sum on the single-mode density, and detector outcomes
 use the Kelley-Kleiner POVM diag((1-eta)^n).  This engine is the independent
 oracle for every result of :mod:`catscamp.phasespace`.
@@ -264,22 +265,53 @@ def ladder(state: FockVector, which: str):
 # beamsplitter
 # ---------------------------------------------------------------------------
 
+def _unclipped_blocks(t: float, r: float, count: int):
+    """Real blocks <i, N-i| U |j, N-j> of the mode mixer for the sectors
+    N = 0, ..., count-1, each built from the one before.
+
+    U a^dag U^dag = A = t a^dag + r b^dag and U b^dag U^dag = B = -r a^dag + t b^dag
+    commute, so U|p, q> = A^p B^q |0> / sqrt(p! q!) obeys the two-term recurrence
+    N U|p, q> = sqrt(p) A U|p-1, q> + sqrt(q) B U|p, q-1>.  Every column takes
+    both terms it has, which keeps each block orthogonal to round-off at every
+    N (the Wigner small-d recursion of Risbo); building a column from one
+    neighbour only loses accuracy geometrically in N.
+    """
+    blocks = [np.ones((1, 1))]
+    root = np.sqrt(np.arange(count))
+    for total in range(1, count):
+        prev = blocks[-1]
+        # a^dag, b^dag raise sector total-1 into sector total
+        up_a = np.zeros((total + 1, total))
+        up_b = np.zeros((total + 1, total))
+        up_a[1:] = root[1:total + 1, None] * prev
+        up_b[:-1] = root[total:0:-1, None] * prev
+        block = np.zeros((total + 1, total + 1))
+        block[:, 1:] = root[1:total + 1] * (t * up_a + r * up_b)  # sqrt(p) A U|p-1, q>
+        block[:, :-1] += root[total:0:-1] * (t * up_b - r * up_a)  # sqrt(q) B U|p, q-1>
+        blocks.append(block / total)
+    return blocks
+
+
 @functools.lru_cache(maxsize=32)
 def _beamsplitter_blocks(t: float, r: float, dim: int):
     """Unitary blocks of the mode mixer, one per total photon number.
 
     The generator theta (b^dag a - a^dag b) with theta = atan2(r, t) sends
     |alpha, beta> to |t alpha - r beta, t beta + r alpha> and conserves the
-    total photon number, so the unitary is exponentiated sector by sector.
-    Sectors clipped by the truncation use the restricted generator, which is
-    still antisymmetric: each block stays exactly unitary.
+    total photon number, so the unitary acts sector by sector.  The sectors
+    the truncation holds whole (total < dim) come from the recurrence of
+    :func:`_unclipped_blocks`.  Sectors clipped by the truncation are
+    exponentiated from the restricted generator, which is still
+    antisymmetric: each block stays exactly unitary, where a crop of the
+    exact block would not be.
     """
     theta = float(np.arctan2(r, t))
-    blocks = []
-    for total in range(2 * dim - 1):
-        lo = max(0, total - dim + 1)
-        hi = min(total, dim - 1)
-        m = np.arange(lo, hi + 1)
+    # cos and sin of theta, not (t, r): a splitter off the unit circle by
+    # round-off would scale sector N by (t^2 + r^2)^(N/2)
+    blocks = [(np.arange(total + 1), block.astype(complex)) for total, block
+              in enumerate(_unclipped_blocks(np.cos(theta), np.sin(theta), dim))]
+    for total in range(dim, 2 * dim - 1):
+        m = np.arange(total - dim + 1, dim)
         idx = np.arange(1, m.size)
         gen = np.zeros((m.size, m.size))
         # b^dag a : |m, total-m> -> sqrt(m (total-m+1)) |m-1, total-m+1>
@@ -334,7 +366,7 @@ def condition_fock(
     elif outcome != "no_click":
         raise ValueError("outcome must be 'no_click' or 'click'")
     amps = state.amps if mode == 1 else state.amps.T  # measured axis last
-    rho = np.einsum("jn,n,kn->jk", amps, w, amps.conj())
+    rho = (amps * w) @ amps.conj().T
     prob = float(np.trace(rho).real)
     if prob < prob_floor:
         raise NegligibleEventError(
@@ -363,7 +395,9 @@ def subtract_fock(rho: FockDensity, t: float, r: float, eta: float):
         out[:dim - k, :dim - k] += np.outer(amp[k, k:], amp[k, k:]) * rho.matrix[k:, k:]
     prob = float(np.trace(out).real)
     if prob < DEFAULT_PROB_FLOOR:
-        raise NegligibleEventError(f"click probability {prob:.3e} below floor")
+        raise NegligibleEventError(
+            f"click probability {prob:.3e} below floor {DEFAULT_PROB_FLOOR:.1e}"
+        )
     return FockDensity(out / prob), prob
 
 

@@ -45,7 +45,6 @@ __all__ = [
     "coherent_fock",
     "cat_fock",
     "squeezed_vacuum_fock",
-    "squeezed_vacuum_amps_direct",
     "squeezed_coherent_fock",
     "cat_squeezed_overlap",
     "optimal_squeezing",
@@ -267,28 +266,26 @@ def cat_fock(alpha: float, parity: str, dim: int = fock.DEFAULT_DIM) -> FockVect
 def squeezed_vacuum_fock(
     s: float, dim: int = fock.DEFAULT_DIM, check_tail: bool = True
 ) -> FockVector:
-    return fock.squeeze_fock(fock.vacuum_vector(dim), _real_scalar(s, "s"),
-                             check_tail=check_tail)
+    """S(s)|0> from its series: amps[2m] = sqrt((2m)!)/m! (-tanh(s)/2)^m
+    sqrt(sech s), stable in log space; the odd amplitudes vanish.
 
-
-def squeezed_vacuum_amps_direct(s: float, dim: int) -> np.ndarray:
-    """Series amplitudes sqrt((2m)!)/m! (-tanh(s)/2)^m sqrt(sech s).
-
-    Independent of the matrix-exponential route; used to pin the squeezer
-    convention.
+    Raises :class:`fock.TruncationError` when ``check_tail`` finds the tail
+    mass too large for ``dim``.
     """
+    s = _real_scalar(s, "s")
+    if abs(s) > fock.SQUEEZE_MAX:
+        raise ValueError(f"|s| <= {fock.SQUEEZE_MAX:g} is the supported squeezing range")
     amps = np.zeros(dim, dtype=complex)
-    half_tanh = -0.5 * math.tanh(s)
     amps[0] = 1.0
-    for m in range(1, (dim + 1) // 2):
-        if half_tanh == 0.0:
-            break
-        log_mag = 0.5 * math.lgamma(2 * m + 1) - math.lgamma(m + 1)
-        amps[2 * m] = (math.copysign(1.0, half_tanh) ** m) * math.exp(
-            log_mag + m * math.log(abs(half_tanh))
-        )
+    half_tanh = -0.5 * math.tanh(s)
+    if half_tanh != 0.0:
+        m = np.arange(1, (dim + 1) // 2, dtype=float)
+        # log(sqrt((2m)!)/m!) = sum_k log((2k-1) 2k / k^2) / 2
+        log_mag = 0.5 * np.cumsum(np.log(4.0 - 2.0 / m)) + m * math.log(abs(half_tanh))
+        amps[2::2] = math.copysign(1.0, half_tanh) ** m * np.exp(log_mag)
     amps *= math.sqrt(1.0 / math.cosh(s))
-    return amps
+    out = FockVector(amps)
+    return out.check_tail() if check_tail else out
 
 
 def squeezed_coherent_fock(

@@ -22,13 +22,8 @@ from catscamp.fock import (
     vacuum_vector,
 )
 from catscamp.phasespace import NegligibleEventError
-from catscamp.pipeline import PipelineConfig, _fock_comparison, _fock_subtraction
-from catscamp.states import (
-    cat_fock,
-    coherent_fock,
-    squeezed_vacuum_amps_direct,
-    squeezed_vacuum_fock,
-)
+from catscamp.pipeline import PipelineConfig, _fock_comparison, _fock_subtraction, run_parity_swap
+from catscamp.states import cat_fock, coherent_fock, squeezed_vacuum_fock
 
 HALF = math.sqrt(0.5)
 
@@ -65,9 +60,10 @@ class TestBeamsplitter:
 
 
 def element_loop_blocks(t: float, r: float, dim: int):
-    """The splitter's sector blocks with the generator filled one element at
-    a time: the engine's original loop, kept here verbatim as the bit-level
-    oracle of the vectorized fill."""
+    """The splitter's sector blocks, every one exponentiated from a generator
+    filled one element at a time: the engine's original loop, kept here
+    verbatim as the oracle of the blocks, bit for bit on the sectors the
+    truncation clips."""
     theta = float(np.arctan2(r, t))
     blocks = []
     for total in range(2 * dim - 1):
@@ -87,21 +83,35 @@ def element_loop_blocks(t: float, r: float, dim: int):
     return tuple(blocks)
 
 
+SPLITTERS = [
+    (HALF, HALF),
+    (math.sqrt(0.95), math.sqrt(0.05)),
+    (math.cos(1.3), math.sin(1.3)),
+    (math.sqrt(0.7), -math.sqrt(0.3)),
+]
+
+
 class TestBeamsplitterBlocks:
     @pytest.mark.parametrize("dim", [5, 40, 60, 100])
-    @pytest.mark.parametrize("t,r", [
-        (HALF, HALF),
-        (math.sqrt(0.95), math.sqrt(0.05)),
-        (math.cos(1.3), math.sin(1.3)),
-        (math.sqrt(0.7), -math.sqrt(0.3)),
-    ])
+    @pytest.mark.parametrize("t,r", SPLITTERS)
     def test_blocks_equal_element_loop(self, t, r, dim):
+        # sectors clipped by the truncation keep their exponential bit for
+        # bit; the ones held whole come from the recurrence, within round-off
         blocks = fock._beamsplitter_blocks(t, r, dim)
         expected = element_loop_blocks(t, r, dim)
         assert len(blocks) == len(expected) == 2 * dim - 1
-        for (m, block), (m_exp, block_exp) in zip(blocks, expected):
+        for total, ((m, block), (m_exp, block_exp)) in enumerate(zip(blocks, expected)):
             assert np.array_equal(m, m_exp)
-            assert np.array_equal(block, block_exp)
+            if total < dim:
+                assert np.max(np.abs(block - block_exp)) <= 1e-12
+            else:
+                assert np.array_equal(block, block_exp)
+
+    @pytest.mark.parametrize("t,r", SPLITTERS)
+    def test_recurrence_stays_orthogonal_to_sector_199(self, t, r):
+        theta = math.atan2(r, t)
+        for block in fock._unclipped_blocks(math.cos(theta), math.sin(theta), 200):
+            assert np.max(np.abs(block @ block.T - np.eye(block.shape[0]))) <= 1e-12
 
 
 def ensemble_subtraction(rho1: FockDensity, cfg: PipelineConfig):
@@ -168,12 +178,41 @@ class TestSubtraction:
         assert out.populations() == pytest.approx([two / p, one / p, 0, 0, 0, 0], abs=1e-15)
 
     def test_vacuum_never_clicks(self):
-        with pytest.raises(NegligibleEventError):
+        with pytest.raises(NegligibleEventError, match="below floor 1.0e-12"):
             fock.subtract_fock(FockDensity(np.diag([1.0, 0, 0, 0])), HALF, HALF, 1.0)
 
     def test_non_unitary_splitter_rejected(self):
         with pytest.raises(ValueError, match="not unitary"):
             fock.subtract_fock(FockDensity(np.diag([0.0, 1.0, 0, 0])), 0.9, 0.9, 1.0)
+
+
+def squeezed_vacuum_amps_direct(s: float, dim: int) -> np.ndarray:
+    """Series amplitudes sqrt((2m)!)/m! (-tanh(s)/2)^m sqrt(sech s), one
+    lgamma pair per m: the original series loop, kept here verbatim as the
+    oracle of the squeezed vacuum and of the squeezer convention."""
+    amps = np.zeros(dim, dtype=complex)
+    half_tanh = -0.5 * math.tanh(s)
+    amps[0] = 1.0
+    for m in range(1, (dim + 1) // 2):
+        if half_tanh == 0.0:
+            break
+        log_mag = 0.5 * math.lgamma(2 * m + 1) - math.lgamma(m + 1)
+        amps[2 * m] = (math.copysign(1.0, half_tanh) ** m) * math.exp(
+            log_mag + m * math.log(abs(half_tanh))
+        )
+    amps *= math.sqrt(1.0 / math.cosh(s))
+    return amps
+
+
+class TestSqueezedVacuum:
+    @given(s=st.floats(-2.0, 2.0), dim=st.integers(40, 100))
+    def test_equals_lgamma_series(self, s, dim):
+        built = squeezed_vacuum_fock(s, dim, check_tail=False)
+        assert np.max(np.abs(built.amps - squeezed_vacuum_amps_direct(s, dim))) <= 1e-14
+
+    def test_tail_failure_raises_truncation_error(self):
+        with pytest.raises(TruncationError):
+            squeezed_vacuum_fock(-1.2, 20)
 
 
 class TestSqueeze:
@@ -259,6 +298,21 @@ class TestConditioning:
         assert prob == pytest.approx(eta, abs=1e-12)
         assert rho.matrix[0, 0] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("mode", [0, 1])
+    @pytest.mark.parametrize("outcome", ["no_click", "click"])
+    def test_matches_einsum(self, mode, outcome):
+        # the weighted partial trace as one einsum: the original contraction
+        rng = np.random.default_rng(11 + mode)
+        amps = rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30))
+        amps /= np.linalg.norm(amps)
+        rho, prob = condition_fock(TwoModeFock(amps), mode, 0.7, outcome)
+        w = fock.noclick_weights(0.7, 30)
+        w = 1.0 - w if outcome == "click" else w
+        kept_first = amps if mode == 1 else amps.T
+        expected = np.einsum("jn,n,kn->jk", kept_first, w, kept_first.conj())
+        assert prob == pytest.approx(np.trace(expected).real, abs=1e-15)
+        assert np.max(np.abs(rho.matrix - expected / prob)) <= 1e-15
+
     def test_stage_probability_matches_analytic_engine(self):
         from catscamp.phasespace import DetectorPOVMChi, NO_CLICK, condition, tensor, substitute_beamsplitter
         from catscamp.states import cat_chi, squeezed_vacuum_chi
@@ -319,6 +373,37 @@ class TestChiFromFock:
     def test_probe_radius_warning(self):
         with pytest.warns(UserWarning, match="reliable radius"):
             chi_from_fock(vacuum_vector(16), 4.0 + 0.0j)
+
+
+def count_expm(monkeypatch):
+    """Sizes of the matrices ``fock`` exponentiates from now on."""
+    sizes = []
+    real = fock.expm
+
+    def counted(a):
+        sizes.append(a.shape[0])
+        return real(a)
+
+    monkeypatch.setattr(fock, "expm", counted)
+    return sizes
+
+
+class TestExpmCount:
+    @pytest.mark.parametrize("dim", [40, 60])
+    def test_splitter_exponentiates_clipped_sectors_only(self, monkeypatch, dim):
+        sizes = count_expm(monkeypatch)
+        fock._beamsplitter_blocks.cache_clear()
+        fock._beamsplitter_blocks(HALF, HALF, dim)
+        assert sizes == list(range(dim - 1, 0, -1))
+
+    def test_cold_fock_run_exponentiates_nothing_else(self, monkeypatch):
+        sizes = count_expm(monkeypatch)
+        for obj in vars(fock).values():
+            if callable(getattr(obj, "cache_clear", None)):
+                obj.cache_clear()
+        res = run_parity_swap(PipelineConfig(alpha=1.0, parity="even", engine="fock"),
+                              optimize=False)
+        assert len(sizes) == res.fock_dim - 1
 
 
 class TestTruncationControl:
