@@ -31,7 +31,8 @@ from catscamp import (
 from catscamp.states import cat_squeezed_overlap, optimal_squeezing
 
 # ---------------------------------------------------------------------------
-# States are tiny objects: a cat is exactly four Gaussian terms.
+# A state is three small arrays (weights, quadratic forms, linear parts):
+# a cat is exactly four Gaussian terms.
 # ---------------------------------------------------------------------------
 cat = cat_chi(1.0, "even")
 print(f"even cat of size 1: {cat.n_terms} terms, chi(0) = {cat.norm_value().real:.12f}")

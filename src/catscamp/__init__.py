@@ -10,7 +10,6 @@ command-line front end (``catscamp run|sweep|wigner|validate``).
 """
 
 from .phasespace import (
-    GaussianTerm,
     GaussianSumState,
     DetectorPOVMChi,
     NO_CLICK,

@@ -9,6 +9,7 @@ configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -74,6 +75,8 @@ def _parse_grid(text: str):
         lo, hi, step = (float(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"grid must be numeric MIN:MAX:STEP: {exc}") from exc
+    if not np.isfinite([lo, hi, step]).all():
+        raise ConfigError(f"grid MIN, MAX and STEP must be finite, got {text!r}")
     if step <= 0:
         raise ConfigError(f"grid step must be positive, got {step}")
     if hi < lo:
@@ -210,17 +213,19 @@ def _cmd_wigner(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    checks = audit.run_audit()
-    print(audit.format_report(checks))
-    if args.out:
-        payload = [
-            {"name": c.name, "category": c.category, "status": c.status, "detail": c.detail}
-            for c in checks
-        ]
-        with open(args.out, "w", encoding="utf-8") as handle:
+    # the report file opens first, so a bad path fails before the audit runs
+    with _open_for_write(args.out) if args.out else contextlib.nullcontext() as handle:
+        checks = audit.run_audit()
+        print(audit.format_report(checks))
+        if handle is not None:
+            payload = [
+                {"name": c.name, "category": c.category, "status": c.status,
+                 "detail": c.detail}
+                for c in checks
+            ]
             json.dump(payload, handle, indent=2)
             handle.write("\n")
-        print(f"wrote {args.out}")
+            print(f"wrote {args.out}")
     return 0 if audit.audit_passed(checks) else 1
 
 

@@ -6,18 +6,25 @@ of its symmetric-order characteristic function,
     chi(xi_1, ..., xi_n) = sum_k  c_k * exp(-1/2 r^T M_k r + l_k^T r),
 
 with the complex arguments packed into real coordinates
-r = (x_1, y_1, ..., x_n, y_n), xi_j = x_j + i*y_j.  The quadratic forms M_k
-stay real symmetric under every operation used here (tensor products,
-beamsplitter argument substitution, detector conditioning), so each trace,
-overlap and probability reduces to the textbook real Gaussian integral
+r = (x_1, y_1, ..., x_n, y_n), xi_j = x_j + i*y_j.  A sum of K terms is three
+arrays, the weights c (K,), the quadratic forms M (K, 2n, 2n) and the linear
+parts l (K, 2n) (the representation of Bourassa et al., PRX Quantum 2,
+040315 (2021)), and every operation acts on the whole term axis at once.
+The quadratic forms M_k stay real symmetric under every operation used here
+(tensor products, beamsplitter argument substitution, detector
+conditioning), so each trace, overlap and probability reduces to the
+textbook real Gaussian integral
 
     int exp(-1/2 r^T A r + b^T r) d^k r
         = (2 pi)^(k/2) det(A)^(-1/2) exp(1/2 b^T A^-1 b)
 
 with a manifestly positive determinant and no branch tracking.
 
-Sign conventions are pinned by the companion Fock-basis engine in
-:mod:`catscamp.fock`; the two are cross-checked term by term in the tests.
+Every stage and every trace-rule pairing gives bit for bit what a loop over
+the terms gives: complex products and divisions by a real are taken in the
+scalar operation order, and sums over terms are running sums.  Sign
+conventions are pinned by the companion Fock-basis engine in
+:mod:`catscamp.fock`; the two are cross-checked in the tests.
 """
 
 from __future__ import annotations
@@ -30,7 +37,6 @@ __all__ = [
     "PhaseSpaceError",
     "NonIntegrableError",
     "NegligibleEventError",
-    "GaussianTerm",
     "GaussianSumState",
     "DetectorPOVMChi",
     "NO_CLICK",
@@ -76,49 +82,28 @@ def _frozen_array(values, dtype) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class GaussianTerm:
-    """One term c * exp(-1/2 r^T M r + l^T r) of an n-mode Gaussian sum.
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
 
-    ``quad`` is the real symmetric 2n x 2n matrix M (symmetrized at
-    construction, rejected if the asymmetry exceeds 1e-12) and ``lin`` the
-    complex 2n-vector l.  For terms belonging to physical states M is
-    positive semidefinite, which keeps every integral taken here finite.
-    """
 
-    n_modes: int
-    weight: complex
-    quad: np.ndarray
-    lin: np.ndarray
-
-    def __post_init__(self):
-        if self.n_modes < 1:
-            raise ValueError("n_modes must be positive")
-        d = 2 * self.n_modes
-        quad = np.asarray(self.quad, dtype=float)
-        if quad.shape != (d, d):
-            raise ValueError(f"quad must be {d}x{d}, got {quad.shape}")
-        asym = np.max(np.abs(quad - quad.T)) if d else 0.0
-        if asym > QUAD_SYMMETRY_TOL:
-            raise ValueError(f"quad asymmetry {asym:.3e} exceeds {QUAD_SYMMETRY_TOL}")
-        lin = np.asarray(self.lin, dtype=complex)
-        if lin.shape != (d,):
-            raise ValueError(f"lin must have shape ({d},), got {lin.shape}")
-        object.__setattr__(self, "weight", complex(self.weight))
-        object.__setattr__(self, "quad", _frozen_array(0.5 * (quad + quad.T), float))
-        object.__setattr__(self, "lin", _frozen_array(lin, complex))
-
-    def evaluate(self, r: np.ndarray) -> np.ndarray:
-        """Evaluate the term at packed real points ``r`` of shape (..., 2n)."""
-        r = np.asarray(r, dtype=float)
-        quad_part = np.einsum("...i,ij,...j->...", r, self.quad, r)
-        lin_part = r @ self.lin
-        return self.weight * np.exp(-0.5 * quad_part + lin_part)
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b in the scalar operation order: numpy's complex array product
+    may fuse multiply-adds, which moves the last bit."""
+    return _complex(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
 
 
 @dataclass(frozen=True)
 class GaussianSumState:
-    """An n-mode state (or unnormalized operator) as a sum of Gaussian terms.
+    """An n-mode state (or unnormalized operator) as a sum of K Gaussian terms.
+
+    Term k is weights[k] * exp(-1/2 r^T quads[k] r + lins[k]^T r), with
+    ``weights`` (K,) complex, ``quads`` (K, 2n, 2n) real symmetric
+    (symmetrized at construction, rejected if the asymmetry exceeds 1e-12)
+    and ``lins`` (K, 2n) complex.  For physical states every quadratic form
+    is positive semidefinite, which keeps every integral taken here finite.
 
     For objects tagged as physical states chi(0) = 1, chi(-xi) = chi(xi)^*
     and the purity Tr[rho^2] lies in (0, 1]; :func:`validate_state` probes
@@ -126,29 +111,48 @@ class GaussianSumState:
     """
 
     n_modes: int
-    terms: tuple
+    weights: np.ndarray
+    quads: np.ndarray
+    lins: np.ndarray
     label: str = ""
 
     def __post_init__(self):
-        terms = tuple(self.terms)
-        if not terms:
-            raise ValueError("a Gaussian sum needs at least one term")
-        for t in terms:
-            if t.n_modes != self.n_modes:
-                raise ValueError("all terms must share the state's mode count")
-        object.__setattr__(self, "terms", terms)
+        if self.n_modes < 1:
+            raise ValueError("n_modes must be positive")
+        d = 2 * self.n_modes
+        weights = _frozen_array(self.weights, complex)
+        if weights.ndim != 1 or not weights.size:
+            raise ValueError("a Gaussian sum needs a 1-d array of at least one weight")
+        k = weights.size
+        quads = np.asarray(self.quads, dtype=float)
+        if quads.shape != (k, d, d):
+            raise ValueError(f"quads must have shape {(k, d, d)}, got {quads.shape}")
+        asym = np.max(np.abs(quads - quads.swapaxes(1, 2)))
+        if asym > QUAD_SYMMETRY_TOL:
+            raise ValueError(f"quad asymmetry {asym:.3e} exceeds {QUAD_SYMMETRY_TOL}")
+        lins = _frozen_array(self.lins, complex)
+        if lins.shape != (k, d):
+            raise ValueError(f"lins must have shape {(k, d)}, got {lins.shape}")
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "quads",
+                           _frozen_array(0.5 * (quads + quads.swapaxes(1, 2)), float))
+        object.__setattr__(self, "lins", lins)
 
     @property
     def n_terms(self) -> int:
-        return len(self.terms)
+        return len(self.weights)
 
     def chi_r(self, r: np.ndarray) -> np.ndarray:
         """Characteristic function at packed real points of shape (..., 2n)."""
         r = np.asarray(r, dtype=float)
-        total = np.zeros(r.shape[:-1], dtype=complex)
-        for t in self.terms:
-            total = total + t.evaluate(r)
-        return total
+        batch = (1,) * (r.ndim - 2)
+        quad_part = np.einsum("...i,kij,...j->k...", r, self.quads, r)
+        # one matrix-vector product per term, as for a lone term
+        lin_part = (r @ self.lins.reshape((-1,) + batch + (r.shape[-1], 1)))[..., 0]
+        weights = self.weights.reshape((-1,) + (1,) * (r.ndim - 1))
+        terms = weights * np.exp(-0.5 * quad_part + lin_part)
+        # a running sum over the terms, never a pairwise one
+        return np.add.accumulate(terms, axis=0)[-1]
 
     def chi(self, xi) -> np.ndarray:
         """Characteristic function at complex points of shape (..., n_modes)."""
@@ -162,7 +166,7 @@ class GaussianSumState:
 
     def norm_value(self) -> complex:
         """chi evaluated at the origin; equals 1 for a normalized state."""
-        return sum(t.weight for t in self.terms)
+        return complex(np.add.accumulate(self.weights)[-1])
 
 
 @dataclass(frozen=True)
@@ -190,18 +194,21 @@ class DetectorPOVMChi:
 # ---------------------------------------------------------------------------
 
 def tensor(a: GaussianSumState, b: GaussianSumState) -> GaussianSumState:
-    """Tensor product; block-diagonal quadratic forms, concatenated linears."""
-    n = a.n_modes + b.n_modes
-    terms = []
-    for ta in a.terms:
-        for tb in b.terms:
-            quad = np.zeros((2 * n, 2 * n))
-            quad[: 2 * a.n_modes, : 2 * a.n_modes] = ta.quad
-            quad[2 * a.n_modes :, 2 * a.n_modes :] = tb.quad
-            lin = np.concatenate([ta.lin, tb.lin])
-            terms.append(GaussianTerm(n, ta.weight * tb.weight, quad, lin))
-    label = f"{a.label}(x){b.label}" if a.label or b.label else ""
-    return GaussianSumState(n, tuple(terms), label)
+    """Tensor product; block-diagonal quadratic forms, concatenated linears.
+
+    Term (i, j) of the product sits at index i * b.n_terms + j."""
+    da, n = 2 * a.n_modes, a.n_modes + b.n_modes
+    shape = (a.n_terms, b.n_terms)
+    quads = np.zeros(shape + (2 * n, 2 * n))
+    quads[:, :, :da, :da] = a.quads[:, None]
+    quads[:, :, da:, da:] = b.quads[None]
+    lins = np.empty(shape + (2 * n,), dtype=complex)
+    lins[:, :, :da] = a.lins[:, None]
+    lins[:, :, da:] = b.lins[None]
+    weights = _product(a.weights[:, None], b.weights[None])
+    k = a.n_terms * b.n_terms
+    return GaussianSumState(n, weights.reshape(k), quads.reshape(k, 2 * n, 2 * n),
+                            lins.reshape(k, 2 * n))
 
 
 def substitute_linear(state: GaussianSumState, lmap: np.ndarray) -> GaussianSumState:
@@ -214,11 +221,8 @@ def substitute_linear(state: GaussianSumState, lmap: np.ndarray) -> GaussianSumS
     d = 2 * state.n_modes
     if lmap.shape != (d, d):
         raise ValueError(f"lmap must be {d}x{d}")
-    terms = tuple(
-        GaussianTerm(state.n_modes, t.weight, lmap.T @ t.quad @ lmap, lmap.T @ t.lin)
-        for t in state.terms
-    )
-    return GaussianSumState(state.n_modes, terms, state.label)
+    return GaussianSumState(state.n_modes, state.weights, lmap.T @ state.quads @ lmap,
+                            (lmap.T @ state.lins[..., None])[..., 0])
 
 
 def substitute_beamsplitter(
@@ -258,32 +262,14 @@ class GaussianSumStack:
     Row b is sum_j weights[b, j] exp(-1/2 r^T quads[j] r + lins[b, j]^T r),
     with ``weights`` (B, J) complex, ``quads`` (J, 2n, 2n) real symmetric and
     ``lins`` (B, J, 2n) complex.  A family of states whose parameters move
-    only the weights and linear parts (cats of varying size) is one stack.
+    only the weights and linear parts (cats of varying size) is one stack;
+    one state is the one-row stack of its own arrays.
     """
 
     n_modes: int
     weights: np.ndarray
     quads: np.ndarray
     lins: np.ndarray
-
-    @classmethod
-    def of(cls, state: GaussianSumState) -> "GaussianSumStack":
-        """The one-row stack holding ``state``."""
-        terms = state.terms
-        return cls(
-            state.n_modes,
-            np.array([[t.weight for t in terms]]),
-            np.stack([t.quad for t in terms]),
-            np.stack([t.lin for t in terms])[None],
-        )
-
-    def row(self, b: int, label: str = "") -> GaussianSumState:
-        """Row ``b`` as a :class:`GaussianSumState`."""
-        terms = tuple(
-            GaussianTerm(self.n_modes, w, q, lin)
-            for w, q, lin in zip(self.weights[b], self.quads, self.lins[b])
-        )
-        return GaussianSumState(self.n_modes, terms, label)
 
 
 class TraceRule:
@@ -308,9 +294,9 @@ class TraceRule:
         self.quads = np.asarray(quads, dtype=float)
         if self.quads.shape[1:] != (2 * self.n_modes,) * 2:
             raise ValueError("overlap requires equal mode counts")
-        self.weights = np.array([t.weight for t in state.terms])
-        self.lins = np.stack([t.lin for t in state.terms])
-        combined = self.quads[:, None] + np.stack([t.quad for t in state.terms])[None]
+        self.weights = state.weights
+        self.lins = state.lins
+        combined = self.quads[:, None] + state.quads[None]
         try:
             self.chol = np.linalg.cholesky(combined)
         except np.linalg.LinAlgError as exc:
@@ -331,12 +317,8 @@ class TraceRule:
         z = np.linalg.solve(self.chol, lin[..., None])[..., 0]
         val = np.exp(0.5 * np.sum(z * z, axis=-1) + self.log_2pi_half
                      - self.log_sqrt_det)
-        # real part of (w_a w_b) * val in the scalar operation order: numpy's
-        # complex array product may fuse multiply-adds, which moves the last bit
-        wa = stack.weights[:, :, None]
-        wr = wa.real * self.weights.real - wa.imag * self.weights.imag
-        wi = wa.real * self.weights.imag + wa.imag * self.weights.real
-        pairs = (wr * val.real - wi * val.imag).reshape(len(stack.weights), -1)
+        w = _product(stack.weights[:, :, None], self.weights)
+        pairs = (w.real * val.real - w.imag * val.imag).reshape(len(stack.weights), -1)
         # a running sum, never a pairwise one: add.accumulate adds in order
         return np.add.accumulate(pairs, axis=1)[:, -1] / np.pi**self.n_modes
 
@@ -347,8 +329,8 @@ def overlap(a: GaussianSumState, b: GaussianSumState) -> float:
     For a pure state paired with any state this is the quantum fidelity.
     Raises :class:`NonIntegrableError` if any term pair fails to converge.
     """
-    stack = GaussianSumStack.of(a)
-    return float(TraceRule(stack.quads, b)(stack)[0])
+    stack = GaussianSumStack(a.n_modes, a.weights[None], a.quads, a.lins[None])
+    return float(TraceRule(a.quads, b)(stack)[0])
 
 
 def purity(state: GaussianSumState) -> float:
@@ -362,43 +344,25 @@ def _partition(n_modes: int, mode: int):
     return np.array(keep, dtype=int), np.array(drop, dtype=int)
 
 
-def _noclick_integral(term: GaussianTerm, drop: np.ndarray, eta: float):
+def _noclick_integral(state: GaussianSumState, drop: np.ndarray, eta: float):
     """Multiply the mode at coordinates ``drop`` by the no-click Gaussian and
-    integrate it out: (1/pi) int chi(..., xi_m, ...) chi_noclick(xi_m) d^2 xi_m.
+    integrate it out of every term:
+    (1/pi) int chi(..., xi_m, ...) chi_noclick(xi_m) d^2 xi_m.
 
-    Returns the integrated term's weight and the inverse of the measured
-    mode's combined quadratic block.
+    Returns the integrated terms' weights and the inverses of the measured
+    mode's combined quadratic blocks.
     """
-    quad_vv = term.quad[np.ix_(drop, drop)] + ((2.0 - eta) / eta) * np.eye(2)
-    lin_v = term.lin[drop]
+    quad_vv = state.quads[:, drop[:, None], drop] + ((2.0 - eta) / eta) * np.eye(2)
+    lin_v = state.lins[:, drop]
     # always positive definite: (2-eta)/eta >= 1 and Re M is PSD
     inv_vv = np.linalg.inv(quad_vv)
-    weight = (
-        term.weight
-        * (2.0 / eta)
-        / np.sqrt(np.linalg.det(quad_vv))
-        * np.exp(0.5 * lin_v @ inv_vv @ lin_v)
-    )
-    return weight, inv_vv
-
-
-def _integrated_term(term: GaussianTerm, mode: int, eta: float) -> GaussianTerm:
-    """The no-click integral of one term as a term on the remaining modes."""
-    keep, drop = _partition(term.n_modes, mode)
-    weight, inv_vv = _noclick_integral(term, drop, eta)
-    quad_uv = term.quad[np.ix_(keep, drop)]
-    quad = term.quad[np.ix_(keep, keep)] - quad_uv @ inv_vv @ quad_uv.T
-    lin = term.lin[keep] - quad_uv @ inv_vv @ term.lin[drop]
-    return GaussianTerm(term.n_modes - 1, weight, quad, lin)
-
-
-def _restricted_term(term: GaussianTerm, mode: int) -> GaussianTerm:
-    """Set one mode's arguments to zero (the symbolic delta of the click
-    element); weight is unchanged."""
-    keep, _ = _partition(term.n_modes, mode)
-    return GaussianTerm(
-        term.n_modes - 1, term.weight, term.quad[np.ix_(keep, keep)], term.lin[keep]
-    )
+    # a real divisor divides each part on its own, as a scalar complex does;
+    # numpy's complex-by-real division multiplies by the reciprocal instead
+    scale = np.sqrt(np.linalg.det(quad_vv))
+    prefactor = _complex(state.weights.real * (2.0 / eta) / scale,
+                         state.weights.imag * (2.0 / eta) / scale)
+    exponent = ((0.5 * lin_v)[:, None, :] @ inv_vv @ lin_v[..., None])[:, 0, 0]
+    return _product(prefactor, np.exp(exponent)), inv_vv
 
 
 def outcome_probability(
@@ -408,7 +372,8 @@ def outcome_probability(
     if not 0 <= mode < state.n_modes:
         raise ValueError(f"mode {mode} out of range")
     _, drop = _partition(state.n_modes, mode)
-    p_noclick = sum(_noclick_integral(t, drop, povm.efficiency)[0] for t in state.terms)
+    weights, _ = _noclick_integral(state, drop, povm.efficiency)
+    p_noclick = np.add.accumulate(weights)[-1]
     if povm.outcome == NO_CLICK:
         return float(p_noclick.real)
     return float((state.norm_value() - p_noclick).real)
@@ -425,8 +390,8 @@ def condition(
     Returns ``(conditioned_state, probability)`` with the conditioned state
     renormalized.  The no-click branch integrates the measured mode against
     the Gaussian no-click element; the click branch is the symbolic
-    restriction chi(xi_rest, 0) minus the no-click branch, so the two
-    outcome probabilities sum to chi(0) exactly.
+    restriction chi(xi_rest, 0) (every term, weight unchanged) minus the
+    no-click branch, so the two outcome probabilities sum to chi(0) exactly.
 
     Raises :class:`NegligibleEventError` when the outcome probability falls
     below ``prob_floor``.
@@ -435,27 +400,25 @@ def condition(
         raise ValueError("conditioning must leave at least one mode")
     if not 0 <= mode < state.n_modes:
         raise ValueError(f"mode {mode} out of range")
-    eta = povm.efficiency
-    integrated = [_integrated_term(t, mode, eta) for t in state.terms]
-    if povm.outcome == NO_CLICK:
-        new_terms = integrated
-    else:
-        restricted = [_restricted_term(t, mode) for t in state.terms]
-        negated = [
-            GaussianTerm(t.n_modes, -t.weight, t.quad, t.lin) for t in integrated
-        ]
-        new_terms = restricted + negated
-    total = sum(t.weight for t in new_terms)
-    prob = float(total.real)
+    keep, drop = _partition(state.n_modes, mode)
+    weights, inv_vv = _noclick_integral(state, drop, povm.efficiency)
+    quads_kk = state.quads[:, keep[:, None], keep]
+    lins_k = state.lins[:, keep]
+    quad_uv = state.quads[:, keep[:, None], drop]
+    quads = quads_kk - quad_uv @ inv_vv @ quad_uv.swapaxes(1, 2)
+    lins = lins_k - (quad_uv @ inv_vv @ state.lins[:, drop, None])[..., 0]
+    if povm.outcome == CLICK:
+        weights = np.concatenate([state.weights, -weights])
+        quads = np.concatenate([quads_kk, quads])
+        lins = np.concatenate([lins_k, lins])
+    # a running sum, never a pairwise one
+    prob = float(np.add.accumulate(weights)[-1].real)
     if prob < prob_floor:
         raise NegligibleEventError(
             f"outcome '{povm.outcome}' probability {prob:.3e} below floor {prob_floor:.1e}"
         )
-    normalized = tuple(
-        GaussianTerm(t.n_modes, t.weight / prob, t.quad, t.lin) for t in new_terms
-    )
-    label = f"{state.label}|{povm.outcome}(eta={eta:g})" if state.label else ""
-    return GaussianSumState(state.n_modes - 1, normalized, label), prob
+    normalized = _complex(weights.real / prob, weights.imag / prob)
+    return GaussianSumState(state.n_modes - 1, normalized, quads, lins), prob
 
 
 # ---------------------------------------------------------------------------
@@ -477,19 +440,21 @@ def wigner(state: GaussianSumState, q: np.ndarray, p: np.ndarray) -> np.ndarray:
     w1 = 1j * np.sqrt(2.0) * pg
     w2 = -1j * np.sqrt(2.0) * qg
     total = np.zeros(qg.shape, dtype=complex)
-    for term in state.terms:
+    # a Python complex weight: its division by the real normalization
+    # divides each part on its own
+    for weight, quad, lin in zip(state.weights.tolist(), state.quads, state.lins):
         try:
-            chol = np.linalg.cholesky(term.quad)
+            chol = np.linalg.cholesky(quad)
         except np.linalg.LinAlgError as exc:
             raise NonIntegrableError("term quadratic form not positive definite") from exc
-        inv = np.linalg.inv(term.quad)
+        inv = np.linalg.inv(quad)
         sqrt_det = float(np.prod(np.diag(chol)))
-        b1 = term.lin[0] + w1
-        b2 = term.lin[1] + w2
+        b1 = lin[0] + w1
+        b2 = lin[1] + w2
         quad_form = 0.5 * (
             inv[0, 0] * b1 * b1 + 2.0 * inv[0, 1] * b1 * b2 + inv[1, 1] * b2 * b2
         )
-        total += (term.weight / (np.pi * sqrt_det)) * np.exp(quad_form)
+        total += (weight / (np.pi * sqrt_det)) * np.exp(quad_form)
     return total.real
 
 
@@ -566,7 +531,7 @@ def validate_state(
     forward = state.chi_r(probes)
     backward = state.chi_r(-probes)
     herm = float(np.max(np.abs(backward - np.conj(forward)))) if n_probes else 0.0
-    min_eig = min(float(np.linalg.eigvalsh(t.quad)[0]) for t in state.terms)
+    min_eig = float(np.min(np.linalg.eigvalsh(state.quads)[:, 0]))
     return StateDiagnostics(
         normalization=float(state.norm_value().real),
         hermiticity=herm,

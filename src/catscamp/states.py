@@ -23,7 +23,7 @@ import numpy as np
 
 from . import fock
 from .fock import FockVector
-from .phasespace import GaussianSumStack, GaussianSumState, GaussianTerm, substitute_linear
+from .phasespace import GaussianSumStack, GaussianSumState, substitute_linear
 
 __all__ = [
     "EVEN",
@@ -149,23 +149,22 @@ class ChannelParams:
 def vacuum_chi(n_modes: int = 1) -> GaussianSumState:
     """chi = exp(-sum |xi_j|^2 / 2)."""
     d = 2 * n_modes
-    term = GaussianTerm(n_modes, 1.0, np.eye(d), np.zeros(d))
-    return GaussianSumState(n_modes, (term,), "vacuum")
+    return GaussianSumState(n_modes, [1.0], np.eye(d)[None], np.zeros((1, d)), "vacuum")
 
 
 def coherent_chi(alpha: float) -> GaussianSumState:
     """chi(xi) = exp(xi alpha - xi^* alpha - |xi|^2/2) for real alpha."""
     alpha = _real_scalar(alpha, "alpha")
-    term = GaussianTerm(1, 1.0, np.eye(2), np.array([0.0, 2.0j * alpha]))
-    return GaussianSumState(1, (term,), f"coherent({alpha:g})")
+    return GaussianSumState(1, [1.0], np.eye(2)[None], [[0.0, 2.0j * alpha]],
+                            f"coherent({alpha:g})")
 
 
 def squeezed_vacuum_chi(s: float) -> GaussianSumState:
     """chi(xi) = exp(-(x^2 e^{2s} + y^2 e^{-2s})/2), xi = x + i y."""
     s = _real_scalar(s, "s")
     quad = np.diag([math.exp(2.0 * s), math.exp(-2.0 * s)])
-    term = GaussianTerm(1, 1.0, quad, np.zeros(2))
-    return GaussianSumState(1, (term,), f"squeezed_vacuum({s:g})")
+    return GaussianSumState(1, [1.0], quad[None], np.zeros((1, 2)),
+                            f"squeezed_vacuum({s:g})")
 
 
 def squeezed_coherent_chi(s: float, alpha: float) -> GaussianSumState:
@@ -178,9 +177,9 @@ def squeezed_coherent_chi(s: float, alpha: float) -> GaussianSumState:
     s = _real_scalar(s, "s")
     alpha = _real_scalar(alpha, "alpha")
     quad = np.diag([math.exp(2.0 * s), math.exp(-2.0 * s)])
-    lin = np.array([0.0, 2.0j * alpha * math.exp(-s)])
-    term = GaussianTerm(1, 1.0, quad, lin)
-    return GaussianSumState(1, (term,), f"squeezed_coherent(s={s:g},a={alpha:g})")
+    lin = [0.0, 2.0j * alpha * math.exp(-s)]
+    return GaussianSumState(1, [1.0], quad[None], [lin],
+                            f"squeezed_coherent(s={s:g},a={alpha:g})")
 
 
 _CAT_QUADS = np.stack([np.eye(2)] * 4)
@@ -218,7 +217,8 @@ def cat_chi(alpha: float, parity: str) -> GaussianSumState:
     +-exp(-2 alpha^2).
     """
     stack = cat_chi_stack(alpha, parity)
-    return stack.row(0, f"cat({float(alpha):g},{parity})")
+    return GaussianSumState(1, stack.weights[0], stack.quads, stack.lins[0],
+                            f"cat({float(alpha):g},{parity})")
 
 
 def squeeze_chi(state: GaussianSumState, s: float) -> GaussianSumState:
@@ -231,8 +231,7 @@ def squeeze_chi(state: GaussianSumState, s: float) -> GaussianSumState:
         raise ValueError("squeeze_chi acts on single-mode states")
     s = _real_scalar(s, "s")
     lmap = np.diag([math.exp(s), math.exp(-s)])
-    out = substitute_linear(state, lmap)
-    return GaussianSumState(1, out.terms, f"squeeze({s:g})[{state.label}]")
+    return substitute_linear(state, lmap)
 
 
 # ---------------------------------------------------------------------------

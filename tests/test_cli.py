@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,23 @@ class TestSweep:
         )
         assert code == 2
         assert "step" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--figure", "gain", "--grid", "nan:1:0.1"),
+        ("sweep", "--figure", "gain", "--grid", "0.2:inf:0.1"),
+        ("sweep", "--figure", "gain", "--grid", "0.2:1:nan"),
+        ("wigner", "--grid=-1:1:inf"),
+    ])
+    def test_non_finite_grid_exits_2_with_one_line(self, capsys, tmp_path, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert caught == []
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "finite" in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_figure_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -251,6 +269,18 @@ class TestValidateCommand:
         assert by_name["noclick-closed-form"]["status"] == "known"
         assert by_name["subtracted-overlap-closed-form"]["status"] == "known"
         assert by_name["pipeline-engine-agreement"]["status"] == "pass"
+
+    def test_unwritable_out_exits_2_before_the_audit(self, capsys, tmp_path, monkeypatch):
+        def no_audit():
+            raise AssertionError("the audit ran before the output was opened")
+
+        monkeypatch.setattr(audit, "run_audit", no_audit)
+        out_path = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(capsys, "validate", "--out", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(out_path) in err
 
     def test_broken_convention_fixture_fails_lock(self):
         from catscamp.fock import beamsplitter_fock

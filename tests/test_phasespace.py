@@ -19,7 +19,6 @@ from catscamp.phasespace import (
     DetectorPOVMChi,
     GaussianSumStack,
     GaussianSumState,
-    GaussianTerm,
     NegligibleEventError,
     NonIntegrableError,
     TraceRule,
@@ -28,6 +27,7 @@ from catscamp.phasespace import (
     overlap,
     purity,
     substitute_beamsplitter,
+    substitute_linear,
     tensor,
     validate_state,
     wigner,
@@ -50,6 +50,161 @@ def probe_points(n, n_modes=1, seed=3, scale=1.0):
     rng = np.random.default_rng(seed)
     pts = rng.normal(scale=scale, size=(n, n_modes, 2))
     return pts[..., 0] + 1j * pts[..., 1]
+
+
+# ---------------------------------------------------------------------------
+# per-term oracles: every stage taken one term at a time, the bit-level
+# oracles of the array stages.  A term is read from the state's arrays by
+# index as a (weight, quad, lin) tuple whose weight is a Python complex, so
+# each weight step runs in CPython's scalar complex arithmetic.
+# ---------------------------------------------------------------------------
+
+def terms_of(state):
+    return list(zip(state.weights.tolist(), state.quads, state.lins))
+
+
+def term(weight, quad, lin):
+    """One term, built as a lone term is: complex weight, quad symmetrized."""
+    quad = np.asarray(quad, dtype=float)
+    return complex(weight), 0.5 * (quad + quad.T), np.asarray(lin, dtype=complex)
+
+
+def state_of(n_modes, terms):
+    weights, quads, lins = zip(*terms)
+    return GaussianSumState(n_modes, weights, quads, lins)
+
+
+def random_state(rng, n_modes, n_terms):
+    """Complex weights and linear parts, positive definite quadratic forms."""
+    d = 2 * n_modes
+    m = rng.normal(size=(n_terms, d, d))
+    return GaussianSumState(n_modes, rng.normal(size=n_terms) + 1j * rng.normal(size=n_terms),
+                            m @ m.swapaxes(1, 2) + 0.5 * np.eye(d),
+                            rng.normal(size=(n_terms, d)) + 1j * rng.normal(size=(n_terms, d)))
+
+
+def per_term_tensor(a, b):
+    n = a.n_modes + b.n_modes
+    terms = []
+    for wa, qa, la in terms_of(a):
+        for wb, qb, lb in terms_of(b):
+            quad = np.zeros((2 * n, 2 * n))
+            quad[: 2 * a.n_modes, : 2 * a.n_modes] = qa
+            quad[2 * a.n_modes :, 2 * a.n_modes :] = qb
+            lin = np.concatenate([la, lb])
+            terms.append(term(wa * wb, quad, lin))
+    return state_of(n, terms)
+
+
+def per_term_substitute_linear(state, lmap):
+    return state_of(state.n_modes, [term(w, lmap.T @ q @ lmap, lmap.T @ lin)
+                                    for w, q, lin in terms_of(state)])
+
+
+def splitter_map(t, r):
+    """The packed-coordinate map of a splitter on modes 0 and 1 of two."""
+    lmap = np.eye(4)
+    si, sj = slice(0, 2), slice(2, 4)
+    eye2 = np.eye(2)
+    lmap[si, si] = t * eye2
+    lmap[si, sj] = r * eye2
+    lmap[sj, si] = -r * eye2
+    lmap[sj, sj] = t * eye2
+    return lmap
+
+
+def per_term_partition(n_modes, mode):
+    keep = [k for m in range(n_modes) if m != mode for k in (2 * m, 2 * m + 1)]
+    drop = [2 * mode, 2 * mode + 1]
+    return np.array(keep, dtype=int), np.array(drop, dtype=int)
+
+
+def per_term_noclick_integral(t, drop, eta):
+    weight, quad, lin = t
+    quad_vv = quad[np.ix_(drop, drop)] + ((2.0 - eta) / eta) * np.eye(2)
+    lin_v = lin[drop]
+    inv_vv = np.linalg.inv(quad_vv)
+    weight = (
+        weight
+        * (2.0 / eta)
+        / np.sqrt(np.linalg.det(quad_vv))
+        * np.exp(0.5 * lin_v @ inv_vv @ lin_v)
+    )
+    return weight, inv_vv
+
+
+def per_term_integrated(t, n_modes, mode, eta):
+    keep, drop = per_term_partition(n_modes, mode)
+    weight, inv_vv = per_term_noclick_integral(t, drop, eta)
+    _, quad, lin = t
+    quad_uv = quad[np.ix_(keep, drop)]
+    return term(weight, quad[np.ix_(keep, keep)] - quad_uv @ inv_vv @ quad_uv.T,
+                lin[keep] - quad_uv @ inv_vv @ lin[drop])
+
+
+def per_term_restricted(t, n_modes, mode):
+    keep, _ = per_term_partition(n_modes, mode)
+    weight, quad, lin = t
+    return term(weight, quad[np.ix_(keep, keep)], lin[keep])
+
+
+def per_term_outcome_probability(state, mode, povm):
+    _, drop = per_term_partition(state.n_modes, mode)
+    p_noclick = sum(per_term_noclick_integral(t, drop, povm.efficiency)[0]
+                    for t in terms_of(state))
+    if povm.outcome == NO_CLICK:
+        return float(p_noclick.real)
+    return float((sum(w for w, _, _ in terms_of(state)) - p_noclick).real)
+
+
+def per_term_condition(state, mode, povm):
+    eta = povm.efficiency
+    integrated = [per_term_integrated(t, state.n_modes, mode, eta) for t in terms_of(state)]
+    if povm.outcome == NO_CLICK:
+        new_terms = integrated
+    else:
+        restricted = [per_term_restricted(t, state.n_modes, mode) for t in terms_of(state)]
+        new_terms = restricted + [term(-w, q, lin) for w, q, lin in integrated]
+    total = sum(w for w, _, _ in new_terms)
+    prob = float(total.real)
+    return state_of(state.n_modes - 1, [term(w / prob, q, lin) for w, q, lin in new_terms]), prob
+
+
+def per_term_chi_r(state, r):
+    r = np.asarray(r, dtype=float)
+    total = np.zeros(r.shape[:-1], dtype=complex)
+    for weight, quad, lin in terms_of(state):
+        quad_part = np.einsum("...i,ij,...j->...", r, quad, r)
+        lin_part = r @ lin
+        total = total + weight * np.exp(-0.5 * quad_part + lin_part)
+    return total
+
+
+def per_term_wigner(state, q, p):
+    q = np.atleast_1d(np.asarray(q, dtype=float))
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    qg, pg = np.meshgrid(q, p, indexing="ij")
+    w1 = 1j * np.sqrt(2.0) * pg
+    w2 = -1j * np.sqrt(2.0) * qg
+    total = np.zeros(qg.shape, dtype=complex)
+    for weight, quad, lin in terms_of(state):
+        chol = np.linalg.cholesky(quad)
+        inv = np.linalg.inv(quad)
+        sqrt_det = float(np.prod(np.diag(chol)))
+        b1 = lin[0] + w1
+        b2 = lin[1] + w2
+        quad_form = 0.5 * (
+            inv[0, 0] * b1 * b1 + 2.0 * inv[0, 1] * b1 * b2 + inv[1, 1] * b2 * b2
+        )
+        total += (weight / (np.pi * sqrt_det)) * np.exp(quad_form)
+    return total.real
+
+
+def assert_same_state(state, expected):
+    assert state.n_modes == expected.n_modes
+    assert np.array_equal(state.weights, expected.weights)
+    assert np.array_equal(state.quads, expected.quads)
+    assert np.array_equal(state.lins, expected.lins)
 
 
 class TestTensor:
@@ -150,7 +305,7 @@ class TestOverlap:
 
     def test_non_integrable_pair_raises_engine_error(self):
         # quad = -2 I against the vacuum's I: the combined form is -I
-        bad = GaussianSumState(1, (GaussianTerm(1, 1.0, -2.0 * np.eye(2), np.zeros(2)),))
+        bad = GaussianSumState(1, [1.0], [-2.0 * np.eye(2)], np.zeros((1, 2)))
         with pytest.raises(NonIntegrableError):
             overlap(bad, vacuum_chi())
         with pytest.raises(NonIntegrableError):
@@ -169,9 +324,9 @@ def per_pair_overlap(a, b):
         return np.exp(0.5 * np.sum(z * z) + 0.5 * k * np.log(2.0 * np.pi) - log_sqrt_det)
 
     total = 0.0 + 0.0j
-    for ta in a.terms:
-        for tb in b.terms:
-            total += ta.weight * tb.weight * gauss_integral(ta.quad + tb.quad, ta.lin - tb.lin)
+    for wa, qa, la in terms_of(a):
+        for wb, qb, lb in terms_of(b):
+            total += wa * wb * gauss_integral(qa + qb, la - lb)
     return float(total.real / np.pi**a.n_modes)
 
 
@@ -212,16 +367,7 @@ class TestStackedKernel:
         rng = np.random.default_rng(seed)
         d = 2 * n_modes
 
-        def random_state(n_terms):
-            terms = []
-            for _ in range(n_terms):
-                m = rng.normal(size=(d, d))
-                terms.append(GaussianTerm(n_modes, complex(*rng.normal(size=2)),
-                                          m @ m.T + 0.5 * np.eye(d),
-                                          rng.normal(size=d) + 1j * rng.normal(size=d)))
-            return GaussianSumState(n_modes, tuple(terms))
-
-        a, b = random_state(n_a), random_state(n_b)
+        a, b = random_state(rng, n_modes, n_a), random_state(rng, n_modes, n_b)
         assert overlap(a, b) == per_pair_overlap(a, b)
 
     def test_two_mode_purity_equals_per_pair_loop(self):
@@ -241,18 +387,139 @@ class TestStackedKernel:
             cross = norm2 * (1 if parity == "even" else -1) * math.exp(-2.0 * beta * beta)
             expected = [(norm2, [0.0, 2.0j * beta]), (norm2, [0.0, -2.0j * beta]),
                         (cross, [-2.0 * beta, 0.0]), (cross, [2.0 * beta, 0.0])]
-            for term, (weight, lin) in zip(stack.row(b).terms, expected):
-                assert term.weight == weight
-                assert np.array_equal(term.quad, np.eye(2))
-                assert np.array_equal(term.lin, np.array(lin, dtype=complex))
-            single = cat_chi(beta, parity).terms
-            assert all(t.weight == u.weight and np.array_equal(t.lin, u.lin)
-                       for t, u in zip(single, stack.row(b).terms))
+            for k, (weight, lin) in enumerate(expected):
+                assert stack.weights[b, k] == weight
+                assert np.array_equal(stack.quads[k], np.eye(2))
+                assert np.array_equal(stack.lins[b, k], np.array(lin, dtype=complex))
+            single = cat_chi(beta, parity)
+            assert np.array_equal(single.weights, stack.weights[b])
+            assert np.array_equal(single.quads, stack.quads)
+            assert np.array_equal(single.lins, stack.lins[b])
 
     def test_mismatched_quadratic_forms_rejected(self):
         pair = TraceRule(cat_chi_stack(1.0, "even").quads, vacuum_chi())
+        squeezed = squeezed_vacuum_chi(0.3)
         with pytest.raises(ValueError):
-            pair(GaussianSumStack.of(squeezed_vacuum_chi(0.3)))
+            pair(GaussianSumStack(1, squeezed.weights[None], squeezed.quads,
+                                  squeezed.lins[None]))
+
+
+class TestArrayStagesEqualPerTermLoops:
+    """Every array stage equals its per-term oracle exactly."""
+
+    @given(
+        alpha=st.floats(0.2, 2.0),
+        parity=st.sampled_from(["even", "odd"]),
+        eta1=st.floats(0.6, 1.0),
+        eta2=st.floats(0.6, 1.0),
+        t2_sq=st.floats(0.90, 0.99),
+    )
+    def test_pipeline_chain(self, alpha, parity, eta1, eta2, t2_sq):
+        cfg = PipelineConfig(alpha=alpha, parity=parity, t2=math.sqrt(t2_sq),
+                             eta1=eta1, eta2=eta2)
+        cat, guess = cat_chi(alpha, parity), squeezed_vacuum_chi(cfg.squeezing_value())
+        joint, expected = tensor(cat, guess), per_term_tensor(cat, guess)
+        assert_same_state(joint, expected)
+        joint = substitute_beamsplitter(joint, 0, 1, cfg.t1, cfg.r1)
+        expected = per_term_substitute_linear(expected, splitter_map(cfg.t1, cfg.r1))
+        assert_same_state(joint, expected)
+        kept, p1 = condition(joint, 0, DetectorPOVMChi(eta1, NO_CLICK))
+        expected, q1 = per_term_condition(expected, 0, DetectorPOVMChi(eta1, NO_CLICK))
+        assert p1 == q1
+        assert_same_state(kept, expected)
+        staged = tensor(kept, vacuum_chi())
+        expected = per_term_tensor(expected, vacuum_chi())
+        assert_same_state(staged, expected)
+        staged = substitute_beamsplitter(staged, 0, 1, cfg.t2, cfg.r2)
+        expected = per_term_substitute_linear(expected, splitter_map(cfg.t2, cfg.r2))
+        assert_same_state(staged, expected)
+        povm = DetectorPOVMChi(eta2, CLICK)
+        assert outcome_probability(staged, 1, povm) == per_term_outcome_probability(
+            staged, 1, povm)
+        out, p2 = condition(staged, 1, povm)
+        expected, q2 = per_term_condition(expected, 1, povm)
+        assert p2 == q2
+        assert_same_state(out, expected)
+        # run_parity_swap runs this same chain
+        res = run_parity_swap(cfg, optimize=False)
+        assert (res.p_noclick_stage1, res.p_click_stage2) == (p1, p2)
+        assert_same_state(res.output_chi, out)
+        r = np.random.default_rng(0).normal(scale=1.2, size=(16, 2))
+        assert np.array_equal(out.chi_r(r), per_term_chi_r(out, r))
+        q = np.linspace(-3.0, 3.0, 13)
+        assert np.array_equal(wigner(out, q, q), per_term_wigner(out, q, q))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_a=st.integers(1, 4),
+        n_b=st.integers(1, 4),
+        eta=st.floats(0.3, 1.0),
+        two_mode=st.booleans(),
+    )
+    def test_complex_weight_states(self, seed, n_a, n_b, eta, two_mode):
+        # pipeline weights are real; complex ones also exercise the imaginary
+        # half of every weight product and division
+        rng = np.random.default_rng(seed)
+        if two_mode:
+            joint = random_state(rng, 2, n_a)
+        else:
+            a, b = random_state(rng, 1, n_a), random_state(rng, 1, n_b)
+            joint = tensor(a, b)
+            assert_same_state(joint, per_term_tensor(a, b))
+        lmap = rng.normal(size=(4, 4))
+        assert_same_state(substitute_linear(joint, lmap),
+                          per_term_substitute_linear(joint, lmap))
+        for mode in (0, 1):
+            for outcome in (NO_CLICK, CLICK):
+                povm = DetectorPOVMChi(eta, outcome)
+                assert outcome_probability(joint, mode, povm) == (
+                    per_term_outcome_probability(joint, mode, povm))
+                kept, prob = condition(joint, mode, povm, prob_floor=-math.inf)
+                expected, expected_prob = per_term_condition(joint, mode, povm)
+                assert prob == expected_prob
+                assert_same_state(kept, expected)
+        r = rng.normal(size=(3, 5, 4))
+        assert np.array_equal(joint.chi_r(r), per_term_chi_r(joint, r))
+        assert joint.norm_value() == sum(w for w, _, _ in terms_of(joint))
+
+    def test_lone_point_chi_is_within_rounding_of_per_term_loop(self):
+        # numpy's einsum reduces a lone point in another order than a batch of
+        # points, so only here the two may differ in the last bits; the bound
+        # is a few roundings of each term's size
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            a, b = random_state(rng, 1, 3), random_state(rng, 1, 2)
+            for state in (a, tensor(a, b)):
+                r = rng.normal(size=2 * state.n_modes)
+                value = state.chi_r(r)
+                assert value.shape == ()
+                scale = sum(abs(per_term_chi_r(state_of(state.n_modes, [t]), r))
+                            for t in terms_of(state))
+                assert abs(value - per_term_chi_r(state, r)) <= 1e-14 * scale
+
+
+class TestConstruction:
+    def test_arrays_are_frozen_and_symmetrized(self):
+        quad = np.array([[1.0, 0.3], [0.3 + 1e-13, 1.0]])
+        state = GaussianSumState(1, [1.0], [quad], [[0.0, 1.0j]])
+        assert state.n_terms == 1
+        assert np.array_equal(state.quads[0], state.quads[0].T)
+        for arr in (state.weights, state.quads, state.lins):
+            assert not arr.flags.writeable
+        quad[0, 0] = 5.0  # the state holds its own copy
+        assert state.quads[0, 0, 0] == 1.0
+
+    @pytest.mark.parametrize("n_modes, weights, quads, lins, match", [
+        (0, [1.0], np.eye(2)[None], np.zeros((1, 2)), "n_modes"),
+        (1, [], np.zeros((0, 2, 2)), np.zeros((0, 2)), "at least one weight"),
+        (1, [[1.0]], np.eye(2)[None], np.zeros((1, 2)), "1-d"),
+        (1, [1.0, 1.0], np.eye(2)[None], np.zeros((2, 2)), "quads must have shape"),
+        (1, [1.0], np.eye(4)[None], np.zeros((1, 2)), "quads must have shape"),
+        (1, [1.0], np.eye(2)[None], np.zeros((1, 4)), "lins must have shape"),
+    ])
+    def test_malformed_arrays_rejected(self, n_modes, weights, quads, lins, match):
+        with pytest.raises(ValueError, match=match):
+            GaussianSumState(n_modes, weights, quads, lins)
 
 
 class TestCondition:
@@ -381,11 +648,7 @@ class TestValidate:
 
     def test_scaled_weights_fail_normalization(self):
         base = cat_chi(1.0, "even")
-        doubled = GaussianSumState(
-            1,
-            tuple(GaussianTerm(1, 2.0 * t.weight, t.quad, t.lin) for t in base.terms),
-            "broken",
-        )
+        doubled = GaussianSumState(1, 2.0 * base.weights, base.quads, base.lins, "broken")
         diag = validate_state(doubled)
         assert not diag.normalization_ok
         assert not diag.all_ok
@@ -406,4 +669,4 @@ class TestValidate:
     def test_term_symmetrization_guard(self):
         quad = np.array([[1.0, 0.1], [0.3, 1.0]])
         with pytest.raises(ValueError, match="asymmetry"):
-            GaussianTerm(1, 1.0, quad, np.zeros(2))
+            GaussianSumState(1, [0.5, 0.5], [np.eye(2), quad], np.zeros((2, 2)))

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import catscamp
 from catscamp.optimize import BracketError, golden_section_max
-from catscamp.phasespace import GaussianSumState, GaussianTerm, NonIntegrableError, overlap
+from catscamp.phasespace import GaussianSumState, NonIntegrableError, overlap
 from catscamp.pipeline import (
     T2_95,
     T2_99,
@@ -85,7 +85,7 @@ class TestGoldenSection:
         assert (res.beta_star, res.fidelity_star) == per_point
 
     def test_chi_search_non_integrable_output_raises_engine_error(self):
-        bad = GaussianSumState(1, (GaussianTerm(1, 1.0, -2.0 * np.eye(2), np.zeros(2)),))
+        bad = GaussianSumState(1, [1.0], [-2.0 * np.eye(2)], np.zeros((1, 2)))
         with pytest.raises(NonIntegrableError):
             curve = _chi_fidelity_curve(bad, "odd")
             _optimize_beta(lambda b: float(curve(b)[0]), 1.0, scan=curve)
