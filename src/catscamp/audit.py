@@ -121,7 +121,7 @@ def _fock_parity_structure() -> AuditCheck:
 
 def _beamsplitter_unitarity(seed=20260809) -> AuditCheck:
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    worst = worst_fock = 0.0
     for _ in range(6):
         alpha = rng.uniform(0.2, 1.4)
         s = rng.uniform(-1.0, 1.0)
@@ -133,9 +133,10 @@ def _beamsplitter_unitarity(seed=20260809) -> AuditCheck:
         vec = TwoModeFock(np.outer(cat_fock(alpha, EVEN, 60).amps,
                                    squeezed_vacuum_fock(s, 60, check_tail=False).amps))
         out = fock.beamsplitter_fock(vec, t, r)
-        worst = max(worst, abs(out.norm() - 1.0))
-    return _check("beamsplitter-unitarity", "invariant", worst < 1e-10,
-                  f"max |norm/purity drift| = {worst:.3e}")
+        # the splitter keeps the sectors N < 60 only: unitary on those
+        worst_fock = max(worst_fock, abs(out.norm() ** 2 - (vec.norm() ** 2 - vec.tail_mass())))
+    return _check("beamsplitter-unitarity", "invariant", worst < 1e-10 and worst_fock <= 1e-12,
+                  f"max |norm/purity drift| = {worst:.3e}; fock, sectors N < dim: {worst_fock:.3e}")
 
 
 def _convention_lock(bs_apply=None) -> AuditCheck:

@@ -3,11 +3,13 @@
 Everything here is exact up to the truncation: states are dense complex
 vectors/matrices over |0>, ..., |dim-1>, single-mode unitaries are matrix
 exponentials padded and cropped, the stage-1 beamsplitter acts block by block
-on total-photon-number sectors (built by recurrence where the truncation
-holds a sector whole, exponentiated where it clips one), photon subtraction
-is the pure-loss Kraus sum on the single-mode density, and detector outcomes
-use the Kelley-Kleiner POVM diag((1-eta)^n).  This engine is the independent
-oracle for every result of :mod:`catscamp.phasespace`.
+on the total-photon-number sectors N < dim, each built from the one below by
+recurrence (the input weight in the sectors N >= dim is dropped, and
+:func:`pick_dim` certifies it through :meth:`TwoModeFock.tail_mass`),
+photon subtraction is the pure-loss Kraus sum on the single-mode density,
+and detector outcomes use the Kelley-Kleiner POVM diag((1-eta)^n).  This
+engine is the independent oracle for every result of
+:mod:`catscamp.phasespace`.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ __all__ = [
     "FockVector",
     "FockDensity",
     "TwoModeFock",
+    "check_truncation",
     "pick_dim",
     "annihilator",
     "vacuum_vector",
@@ -48,7 +51,7 @@ __all__ = [
 ]
 
 DEFAULT_DIM = 40
-DIM_LADDER = (40, 60, 80, 100)
+DIM_LADDER = tuple(range(40, 201, 20))
 DEFAULT_TAIL_TOL = 1e-10
 TAIL_MARGIN = 5
 OPERATOR_PAD = 20
@@ -57,10 +60,6 @@ SQUEEZE_MAX = 2.0
 
 class TruncationError(Exception):
     """A state does not fit the photon-number truncation in use."""
-
-    def __init__(self, message, suggested_dim=None):
-        super().__init__(message)
-        self.suggested_dim = suggested_dim
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -94,20 +93,10 @@ class FockVector:
             raise ValueError("cannot normalize the zero vector")
         return FockVector(self.amps / n)
 
-    def tail_mass(self, margin: int = TAIL_MARGIN) -> float:
-        """Population in the top ``margin`` number states; small when the
-        truncation is adequate."""
-        return float(np.sum(np.abs(self.amps[max(0, self.dim - margin):]) ** 2))
-
-    def check_tail(self, tol: float = DEFAULT_TAIL_TOL, margin: int = TAIL_MARGIN):
-        tail = self.tail_mass(margin)
-        if tail > tol:
-            raise TruncationError(
-                f"tail mass {tail:.3e} above {tol:.1e} at dim {self.dim}; "
-                f"increase the truncation",
-                suggested_dim=2 * self.dim,
-            )
-        return self
+    def tail_mass(self) -> float:
+        """Population in the top :data:`TAIL_MARGIN` number states; small
+        when the truncation is adequate."""
+        return float(np.sum(np.abs(self.amps[max(0, self.dim - TAIL_MARGIN):]) ** 2))
 
 
 @dataclass(frozen=True)
@@ -162,31 +151,52 @@ class TwoModeFock:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
+    def tail_mass(self) -> float:
+        """Weight in the total-photon-number sectors n1 + n2 >= min(d1, d2):
+        the part of the state :func:`beamsplitter_fock` drops."""
+        d1, d2 = self.dims
+        total = np.add.outer(np.arange(d1), np.arange(d2))
+        return float(np.sum(np.abs(self.amps[total >= min(d1, d2)]) ** 2))
+
+
+def check_truncation(state):
+    """``state`` if its ``tail_mass()`` is at most :data:`DEFAULT_TAIL_TOL` of
+    the population it holds, else raises :class:`TruncationError`.  Of that
+    population, not of 1: a state lying mostly beyond the truncation has a
+    tiny tail but holds even less."""
+    held = state.norm() ** 2
+    tail = state.tail_mass()
+    if tail > DEFAULT_TAIL_TOL * held:
+        raise TruncationError(
+            f"tail mass {tail:.3e} above {DEFAULT_TAIL_TOL:.1e} of the held {held:.3e} "
+            f"at dim {state.amps.shape[0]}; increase the truncation"
+        )
+    return state
+
 
 def pick_dim(build, truncation: int | None = None):
-    """Truncation and states for a caller's ``build(dim)`` -> tuple of FockVector.
+    """Truncation and states for a caller's ``build(dim)`` -> tuple of
+    FockVector or TwoModeFock.
 
     A pinned ``truncation`` is used as given, with no tail check.  Otherwise
     the first :data:`DIM_LADDER` rung at which every built state passes
-    :meth:`FockVector.check_tail` is returned as ``(dim, states)``; raises
+    :func:`check_truncation` is returned as ``(dim, states)``; raises
     :class:`TruncationError` when no rung fits.
     """
     if truncation is not None:
         return truncation, build(truncation)
-    last_exc = None
     for dim in DIM_LADDER:
         built = build(dim)
         try:
             for state in built:
-                state.check_tail()
+                check_truncation(state)
         except TruncationError as exc:
-            last_exc = exc
+            # the message only: the exception's traceback holds this frame,
+            # and keeping it would tie the rejected states into a cycle
+            reason = str(exc)
             continue
         return dim, built
-    raise TruncationError(
-        f"no ladder truncation up to {DIM_LADDER[-1]} fits: {last_exc}",
-        suggested_dim=2 * DIM_LADDER[-1],
-    )
+    raise TruncationError(f"no ladder truncation up to {DIM_LADDER[-1]} fits: {reason}")
 
 
 def vacuum_vector(dim: int) -> FockVector:
@@ -202,8 +212,8 @@ def annihilator(dim: int) -> np.ndarray:
 
 def expm(a: np.ndarray) -> np.ndarray:
     """scipy's matrix exponential, imported on first use: importing scipy.linalg
-    takes about 28 MiB, and a process that runs only the Gaussian-sum engine
-    never needs it."""
+    takes about 28 MiB, and an amplifier run, in either engine, never needs
+    it."""
     from scipy.linalg import expm as scipy_expm
 
     return scipy_expm(a)
@@ -224,7 +234,7 @@ def squeeze_operator(s: float, dim: int, pad: int = OPERATOR_PAD) -> np.ndarray:
 
 
 def squeeze_fock(state: FockVector, s: float, pad: int = OPERATOR_PAD,
-                 check_tail: bool = True, tail_tol: float = DEFAULT_TAIL_TOL) -> FockVector:
+                 check_tail: bool = True) -> FockVector:
     """Apply the squeezing operator to a pure state.
 
     Raises :class:`TruncationError` if the result's tail mass shows the
@@ -233,9 +243,7 @@ def squeeze_fock(state: FockVector, s: float, pad: int = OPERATOR_PAD,
     if abs(s) > SQUEEZE_MAX:
         raise ValueError(f"|s| <= {SQUEEZE_MAX:g} is the supported squeezing range")
     out = FockVector(squeeze_operator(float(s), state.dim, pad) @ state.amps)
-    if check_tail:
-        out.check_tail(tail_tol)
-    return out
+    return check_truncation(out) if check_tail else out
 
 
 def displacement_operator(xi: complex, dim: int, pad: int = OPERATOR_PAD) -> np.ndarray:
@@ -265,10 +273,15 @@ def ladder(state: FockVector, which: str):
 # beamsplitter
 # ---------------------------------------------------------------------------
 
-def _unclipped_blocks(t: float, r: float, count: int):
-    """Real blocks <i, N-i| U |j, N-j> of the mode mixer for the sectors
-    N = 0, ..., count-1, each built from the one before.
+@functools.lru_cache(maxsize=32)
+def _beamsplitter_blocks(t: float, r: float, dim: int):
+    """``(p, block)`` per total photon number N < dim: the indices p of the
+    sector's states |p, N-p> and the mode mixer's block <p, N-p| U |j, N-j>,
+    each block built from the one before.
 
+    The generator theta (b^dag a - a^dag b) with theta = atan2(r, t) sends
+    |alpha, beta> to |t alpha - r beta, t beta + r alpha> and conserves the
+    total photon number, so the unitary acts sector by sector.
     U a^dag U^dag = A = t a^dag + r b^dag and U b^dag U^dag = B = -r a^dag + t b^dag
     commute, so U|p, q> = A^p B^q |0> / sqrt(p! q!) obeys the two-term recurrence
     N U|p, q> = sqrt(p) A U|p-1, q> + sqrt(q) B U|p, q-1>.  Every column takes
@@ -276,9 +289,13 @@ def _unclipped_blocks(t: float, r: float, count: int):
     N (the Wigner small-d recursion of Risbo); building a column from one
     neighbour only loses accuracy geometrically in N.
     """
+    theta = float(np.arctan2(r, t))
+    # cos and sin of theta, not (t, r): a splitter off the unit circle by
+    # round-off would scale sector N by (t^2 + r^2)^(N/2)
+    t, r = np.cos(theta), np.sin(theta)
     blocks = [np.ones((1, 1))]
-    root = np.sqrt(np.arange(count))
-    for total in range(1, count):
+    root = np.sqrt(np.arange(dim))
+    for total in range(1, dim):
         prev = blocks[-1]
         # a^dag, b^dag raise sector total-1 into sector total
         up_a = np.zeros((total + 1, total))
@@ -289,49 +306,26 @@ def _unclipped_blocks(t: float, r: float, count: int):
         block[:, 1:] = root[1:total + 1] * (t * up_a + r * up_b)  # sqrt(p) A U|p-1, q>
         block[:, :-1] += root[total:0:-1] * (t * up_b - r * up_a)  # sqrt(q) B U|p, q-1>
         blocks.append(block / total)
-    return blocks
-
-
-@functools.lru_cache(maxsize=32)
-def _beamsplitter_blocks(t: float, r: float, dim: int):
-    """Unitary blocks of the mode mixer, one per total photon number.
-
-    The generator theta (b^dag a - a^dag b) with theta = atan2(r, t) sends
-    |alpha, beta> to |t alpha - r beta, t beta + r alpha> and conserves the
-    total photon number, so the unitary acts sector by sector.  The sectors
-    the truncation holds whole (total < dim) come from the recurrence of
-    :func:`_unclipped_blocks`.  Sectors clipped by the truncation are
-    exponentiated from the restricted generator, which is still
-    antisymmetric: each block stays exactly unitary, where a crop of the
-    exact block would not be.
-    """
-    theta = float(np.arctan2(r, t))
-    # cos and sin of theta, not (t, r): a splitter off the unit circle by
-    # round-off would scale sector N by (t^2 + r^2)^(N/2)
-    blocks = [(np.arange(total + 1), block.astype(complex)) for total, block
-              in enumerate(_unclipped_blocks(np.cos(theta), np.sin(theta), dim))]
-    for total in range(dim, 2 * dim - 1):
-        m = np.arange(total - dim + 1, dim)
-        idx = np.arange(1, m.size)
-        gen = np.zeros((m.size, m.size))
-        # b^dag a : |m, total-m> -> sqrt(m (total-m+1)) |m-1, total-m+1>
-        gen[idx - 1, idx] += np.sqrt(m[1:] * (total - m[1:] + 1))
-        # -a^dag b : |m, total-m> -> -sqrt((m+1)(total-m)) |m+1, total-m-1>
-        gen[idx, idx - 1] -= np.sqrt((m[:-1] + 1) * (total - m[:-1]))
-        blocks.append((m, expm(theta * gen).astype(complex)))
-    return tuple(blocks)
+    return tuple((np.arange(total + 1), block.astype(complex))
+                 for total, block in enumerate(blocks))
 
 
 def beamsplitter_fock(state: TwoModeFock, t: float, r: float) -> TwoModeFock:
-    """Apply the two-mode beamsplitter unitary to a pure state."""
+    """Apply the two-mode beamsplitter unitary to a pure state on d x d modes.
+
+    Only the total-photon-number sectors N = n1 + n2 < d, which the box
+    holds whole, are mixed; the input weight in the sectors N >= d
+    (:meth:`TwoModeFock.tail_mass`) is dropped, so the output's squared norm
+    is the input's weight in the sectors N < d.
+    """
     if abs(t * t + r * r - 1.0) > 1e-12:
         raise ValueError(f"(t, r) = ({t}, {r}) is not unitary: t^2 + r^2 != 1")
     d1, d2 = state.dims
     if d1 != d2:
         raise ValueError("beamsplitter requires equal mode dimensions")
     out = np.zeros_like(state.amps)
-    for total, (m, block) in enumerate(_beamsplitter_blocks(float(t), float(r), d1)):
-        out[m, total - m] = block @ state.amps[m, total - m]
+    for total, (p, block) in enumerate(_beamsplitter_blocks(float(t), float(r), d1)):
+        out[p, total - p] = block @ state.amps[p, total - p]
     return TwoModeFock(out)
 
 
@@ -351,7 +345,6 @@ def condition_fock(
     mode: int,
     eta: float,
     outcome: str,
-    prob_floor: float = DEFAULT_PROB_FLOOR,
 ):
     """Geiger-mode detection on one mode of a pure two-mode state.
 
@@ -368,9 +361,9 @@ def condition_fock(
     amps = state.amps if mode == 1 else state.amps.T  # measured axis last
     rho = (amps * w) @ amps.conj().T
     prob = float(np.trace(rho).real)
-    if prob < prob_floor:
+    if prob < DEFAULT_PROB_FLOOR:
         raise NegligibleEventError(
-            f"outcome '{outcome}' probability {prob:.3e} below floor {prob_floor:.1e}"
+            f"outcome '{outcome}' probability {prob:.3e} below floor {DEFAULT_PROB_FLOOR:.1e}"
         )
     return FockDensity(rho / prob), prob
 

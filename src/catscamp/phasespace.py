@@ -95,7 +95,7 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _complex(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity: generated == would compare arrays
 class GaussianSumState:
     """An n-mode state (or unnormalized operator) as a sum of K Gaussian terms.
 
@@ -255,7 +255,7 @@ def substitute_beamsplitter(
     return substitute_linear(state, lmap)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity: generated == would compare arrays
 class GaussianSumStack:
     """B Gaussian sums on n modes that share their J quadratic forms.
 

@@ -229,10 +229,15 @@ def _chi_subtraction(kept: GaussianSumState, cfg: PipelineConfig):
     return condition(staged, 1, DetectorPOVMChi(cfg.eta2, CLICK))
 
 
-def _fock_comparison(input_vec, guess_vec, cfg: PipelineConfig):
-    """Stage 1 in the number-basis engine: the pure joint state conditions
-    into a single-mode density.  Returns ``(rho1, p1)``."""
-    joint = TwoModeFock(np.outer(input_vec.amps, guess_vec.amps))
+def _fock_inputs(input_vec, guess_vec):
+    """The stage-1 states for :func:`fock.pick_dim` to check: input, guess and
+    their product, whose tail is the weight the splitter drops."""
+    return input_vec, guess_vec, TwoModeFock(np.outer(input_vec.amps, guess_vec.amps))
+
+
+def _fock_comparison(joint: TwoModeFock, cfg: PipelineConfig):
+    """Stage 1 in the number-basis engine: the pure product of input and
+    guess conditions into a single-mode density.  Returns ``(rho1, p1)``."""
     joint = fock.beamsplitter_fock(joint, cfg.t1, cfg.r1)
     return fock.condition_fock(joint, 0, cfg.eta1, NO_CLICK)
 
@@ -307,12 +312,12 @@ def run_parity_swap(cfg: PipelineConfig, optimize: bool = True) -> PipelineResul
         records["chi"] = EngineRecord(p1, p2, beta, fstar)
 
     if cfg.engine in ("fock", "both"):
-        dim, (cat, guess) = fock.pick_dim(
-            lambda d: (cat_fock(cfg.alpha, cfg.parity, d),
-                       squeezed_vacuum_fock(s, d, check_tail=False)),
+        dim, (_, _, joint) = fock.pick_dim(
+            lambda d: _fock_inputs(cat_fock(cfg.alpha, cfg.parity, d),
+                                   squeezed_vacuum_fock(s, d, check_tail=False)),
             cfg.truncation,
         )
-        rho1, p1 = _fock_comparison(cat, guess, cfg)
+        rho1, p1 = _fock_comparison(joint, cfg)
         out_fock, p2 = _fock_subtraction(rho1, cfg)
         beta = fstar = None
         if optimize:
@@ -412,10 +417,10 @@ def run_coherent_scamp(alpha: float, guess_sign: int, cfg: PipelineConfig) -> Co
         if cfg.engine == "chi":
             return CoherentScampResult(p1, p2, fid, nominal, output_chi=out_chi)
 
-    dim, (vec_in, vec_guess) = fock.pick_dim(
-        lambda d: (coherent_fock(alpha, d), coherent_fock(beta, d)), cfg.truncation
+    dim, (_, _, joint) = fock.pick_dim(
+        lambda d: _fock_inputs(coherent_fock(alpha, d), coherent_fock(beta, d)), cfg.truncation
     )
-    rho1, p1f = _fock_comparison(vec_in, vec_guess, cfg)
+    rho1, p1f = _fock_comparison(joint, cfg)
     out_fock = None
     try:
         out_fock, p2f = _fock_subtraction(rho1, cfg)

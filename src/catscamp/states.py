@@ -284,7 +284,7 @@ def squeezed_vacuum_fock(
         amps[2::2] = math.copysign(1.0, half_tanh) ** m * np.exp(log_mag)
     amps *= math.sqrt(1.0 / math.cosh(s))
     out = FockVector(amps)
-    return out.check_tail() if check_tail else out
+    return fock.check_truncation(out) if check_tail else out
 
 
 def squeezed_coherent_fock(

@@ -51,6 +51,17 @@ class TestRun:
         assert rec["engines_agree"] == "true"
         assert float(rec["agreement_max_diff"]) < 1e-6
 
+    @pytest.mark.parametrize("alpha", ["1.6", "2"])
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_engine_both_agrees_up_to_alpha_2(self, capsys, alpha, parity):
+        code, out, _ = run_cli(
+            capsys, "run", "--alpha", alpha, "--parity", parity, "--engine", "both",
+        )
+        assert code == 0
+        rec = parse_record(out)
+        assert rec["engines_agree"] == "true"
+        assert int(rec["fock_dim"]) > 100
+
     def test_invalid_efficiency_names_field_and_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "run", "--eta1", "1.3")
         assert code == 2
@@ -119,6 +130,17 @@ class TestSweep:
             gain = float(line.split(",")[6])
             assert abs(gain / math.sqrt(2.0) - 1.0) < 0.10
 
+    def test_fock_gain_sweep_covers_alpha_to_2(self, capsys, tmp_path):
+        out_path = tmp_path / "gain.csv"
+        code, _, _ = run_cli(
+            capsys, "sweep", "--figure", "gain", "--engine", "fock",
+            "--grid", "0.2:2.0:0.1", "--out", str(out_path),
+        )
+        assert code == 0
+        rows = out_path.read_text().splitlines()[1:]
+        assert len(rows) == 19
+        assert all(row.endswith(",") for row in rows)  # empty error column
+
     def test_empty_grid_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "sweep", "--figure", "3a", "--grid", "1:2:0",
@@ -173,7 +195,7 @@ class TestSweep:
         # truncation too small for the requested squeezing: the row stays,
         # carrying the error message
         spec = SweepSpec(figure="probability", alphas=np.array([0.5, 1.0]),
-                         squeezing=-1.4, engine="fock", truncation=None)
+                         squeezing=-2.0, engine="fock", truncation=None)
         stream = io.StringIO()
         sweeps.write_sweep(spec, stream)
         lines = stream.getvalue().splitlines()

@@ -1,6 +1,8 @@
 """Number-basis oracle: operators, detection, characteristic function."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -22,7 +24,12 @@ from catscamp.fock import (
     vacuum_vector,
 )
 from catscamp.phasespace import NegligibleEventError
-from catscamp.pipeline import PipelineConfig, _fock_comparison, _fock_subtraction, run_parity_swap
+from catscamp.pipeline import (
+    PipelineConfig,
+    _fock_comparison,
+    _fock_inputs,
+    _fock_subtraction,
+)
 from catscamp.states import cat_fock, coherent_fock, squeezed_vacuum_fock
 
 HALF = math.sqrt(0.5)
@@ -47,12 +54,14 @@ class TestBeamsplitter:
                           coherent_fock(t * beta + r * alpha, dim).amps)
         assert np.abs(np.vdot(expect, out.amps)) ** 2 == pytest.approx(1.0, abs=1e-8)
 
-    def test_norm_preserved(self):
-        dim = 50
-        joint = TwoModeFock(np.outer(cat_fock(1.2, "odd", dim).amps,
-                                     squeezed_vacuum_fock(-0.9, dim, check_tail=False).amps))
+    # the second case drops a weight of order 1e-2, far beyond the tail rule
+    @pytest.mark.parametrize("dim,alpha,s", [(50, 1.2, -0.9), (16, 1.5, -1.3)])
+    def test_norm_preserved(self, dim, alpha, s):
+        joint = TwoModeFock(np.outer(cat_fock(alpha, "odd", dim).amps,
+                                     squeezed_vacuum_fock(s, dim, check_tail=False).amps))
         out = beamsplitter_fock(joint, math.sqrt(0.95), math.sqrt(0.05))
-        assert out.norm() == pytest.approx(joint.norm(), abs=1e-10)
+        # unitary on the sectors N < dim it keeps; the rest is the tail it drops
+        assert abs(out.norm() ** 2 - (joint.norm() ** 2 - joint.tail_mass())) <= 1e-12
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -60,26 +69,24 @@ class TestBeamsplitter:
 
 
 def element_loop_blocks(t: float, r: float, dim: int):
-    """The splitter's sector blocks, every one exponentiated from a generator
-    filled one element at a time: the engine's original loop, kept here
-    verbatim as the oracle of the blocks, bit for bit on the sectors the
-    truncation clips."""
+    """The splitter's blocks on the sectors N < dim, every one exponentiated
+    from a generator filled one element at a time: the engine's original
+    loop, kept here as the oracle of the recurrence."""
+    from scipy.linalg import expm
+
     theta = float(np.arctan2(r, t))
     blocks = []
-    for total in range(2 * dim - 1):
-        lo = max(0, total - dim + 1)
-        hi = min(total, dim - 1)
-        m = np.arange(lo, hi + 1)
-        size = m.size
-        gen = np.zeros((size, size))
+    for total in range(dim):
+        m = np.arange(total + 1)
+        gen = np.zeros((m.size, m.size))
         for idx, mm in enumerate(m):
             # b^dag a : |m, total-m> -> sqrt(m (total-m+1)) |m-1, total-m+1>
-            if mm - 1 >= lo:
+            if mm - 1 >= 0:
                 gen[idx - 1, idx] += np.sqrt(mm * (total - mm + 1))
             # -a^dag b : |m, total-m> -> -sqrt((m+1)(total-m)) |m+1, total-m-1>
-            if mm + 1 <= hi:
+            if mm + 1 <= total:
                 gen[idx + 1, idx] -= np.sqrt((mm + 1) * (total - mm))
-        blocks.append((m, fock.expm(theta * gen).astype(complex)))
+        blocks.append((m, expm(theta * gen).astype(complex)))
     return tuple(blocks)
 
 
@@ -95,23 +102,18 @@ class TestBeamsplitterBlocks:
     @pytest.mark.parametrize("dim", [5, 40, 60, 100])
     @pytest.mark.parametrize("t,r", SPLITTERS)
     def test_blocks_equal_element_loop(self, t, r, dim):
-        # sectors clipped by the truncation keep their exponential bit for
-        # bit; the ones held whole come from the recurrence, within round-off
         blocks = fock._beamsplitter_blocks(t, r, dim)
         expected = element_loop_blocks(t, r, dim)
-        assert len(blocks) == len(expected) == 2 * dim - 1
-        for total, ((m, block), (m_exp, block_exp)) in enumerate(zip(blocks, expected)):
+        assert len(blocks) == len(expected) == dim
+        for (m, block), (m_exp, block_exp) in zip(blocks, expected):
             assert np.array_equal(m, m_exp)
-            if total < dim:
-                assert np.max(np.abs(block - block_exp)) <= 1e-12
-            else:
-                assert np.array_equal(block, block_exp)
+            assert np.max(np.abs(block - block_exp)) <= 1e-12
 
     @pytest.mark.parametrize("t,r", SPLITTERS)
     def test_recurrence_stays_orthogonal_to_sector_199(self, t, r):
-        theta = math.atan2(r, t)
-        for block in fock._unclipped_blocks(math.cos(theta), math.sin(theta), 200):
-            assert np.max(np.abs(block @ block.T - np.eye(block.shape[0]))) <= 1e-12
+        # uncached: two hundred sectors hold some 40 MiB
+        for _, block in fock._beamsplitter_blocks.__wrapped__(t, r, 200):
+            assert np.max(np.abs(block @ block.conj().T - np.eye(block.shape[0]))) <= 1e-12
 
 
 def ensemble_subtraction(rho1: FockDensity, cfg: PipelineConfig):
@@ -151,10 +153,11 @@ class TestSubtraction:
         cfg = PipelineConfig(alpha=alpha, parity=parity, t2=math.sqrt(t2_sq),
                              eta1=eta1, eta2=eta2, engine="fock")
         s = cfg.squeezing_value()
-        _, (cat, guess) = fock.pick_dim(
-            lambda d: (cat_fock(alpha, parity, d), squeezed_vacuum_fock(s, d, check_tail=False))
+        _, (_, _, joint) = fock.pick_dim(
+            lambda d: _fock_inputs(cat_fock(alpha, parity, d),
+                                   squeezed_vacuum_fock(s, d, check_tail=False))
         )
-        rho1, _ = _fock_comparison(cat, guess, cfg)
+        rho1, _ = _fock_comparison(joint, cfg)
         rho_out, p2 = _fock_subtraction(rho1, cfg)
         expected, p2_expected = ensemble_subtraction(rho1, cfg)
         assert abs(p2 - p2_expected) <= 1e-13
@@ -375,45 +378,17 @@ class TestChiFromFock:
             chi_from_fock(vacuum_vector(16), 4.0 + 0.0j)
 
 
-def count_expm(monkeypatch):
-    """Sizes of the matrices ``fock`` exponentiates from now on."""
-    sizes = []
-    real = fock.expm
-
-    def counted(a):
-        sizes.append(a.shape[0])
-        return real(a)
-
-    monkeypatch.setattr(fock, "expm", counted)
-    return sizes
-
-
-class TestExpmCount:
-    @pytest.mark.parametrize("dim", [40, 60])
-    def test_splitter_exponentiates_clipped_sectors_only(self, monkeypatch, dim):
-        sizes = count_expm(monkeypatch)
-        fock._beamsplitter_blocks.cache_clear()
-        fock._beamsplitter_blocks(HALF, HALF, dim)
-        assert sizes == list(range(dim - 1, 0, -1))
-
-    def test_cold_fock_run_exponentiates_nothing_else(self, monkeypatch):
-        sizes = count_expm(monkeypatch)
-        for obj in vars(fock).values():
-            if callable(getattr(obj, "cache_clear", None)):
-                obj.cache_clear()
-        res = run_parity_swap(PipelineConfig(alpha=1.0, parity="even", engine="fock"),
-                              optimize=False)
-        assert len(sizes) == res.fock_dim - 1
-
-
 class TestTruncationControl:
     def test_tail_mass_small_for_adequate_dim(self):
         assert coherent_fock(1.0, 40).tail_mass() < 1e-12
 
-    def test_cropped_state_fails_tail_check(self):
-        heavy = squeezed_vacuum_fock(-1.3, 40, check_tail=False)
+    # the coherent state lies almost wholly beyond the truncation: its tail
+    # is tiny in absolute terms but most of what the truncation holds
+    @pytest.mark.parametrize("heavy", [squeezed_vacuum_fock(-1.3, 40, check_tail=False),
+                                       coherent_fock(14.0, 40)])
+    def test_cropped_state_fails_tail_check(self, heavy):
         with pytest.raises(TruncationError):
-            heavy.check_tail()
+            fock.check_truncation(heavy)
 
     def test_pipeline_dim_ladder_escalates(self):
         # the states the pipeline checks: the input cat and the squeezed vacuum
@@ -429,6 +404,34 @@ class TestTruncationControl:
         dim, (state,) = fock.pick_dim(heavy, truncation=40)
         assert dim == 40 and state.tail_mass() > fock.DEFAULT_TAIL_TOL
 
+    def test_picker_checks_the_weight_the_splitter_drops(self):
+        # both single-mode tails pass at rung 40, their product's weight in
+        # the sectors N >= 40 does not
+        cat = lambda d: cat_fock(2.0, "even", d)
+        guess = lambda d: squeezed_vacuum_fock(-0.62, d, check_tail=False)
+        assert fock.pick_dim(lambda d: (cat(d), guess(d)))[0] == 40
+        dim, (_, _, joint) = fock.pick_dim(lambda d: _fock_inputs(cat(d), guess(d)))
+        assert dim == 60 and joint.tail_mass() <= fock.DEFAULT_TAIL_TOL
+        with pytest.raises(TruncationError, match="tail mass .* at dim 40"):
+            fock.check_truncation(_fock_inputs(cat(40), guess(40))[2])
+
+    def test_rejected_rung_freed_without_gc(self):
+        rejected = []
+
+        def build(dim):
+            state = squeezed_vacuum_fock(-1.3, dim, check_tail=False)
+            rejected.append(weakref.ref(state))
+            return (state,)
+
+        gc.disable()
+        try:
+            dim, _ = fock.pick_dim(build)
+            assert dim > 40
+            # the last rung rejected, whose error the picker reports
+            assert rejected[-2]() is None
+        finally:
+            gc.enable()
+
     def test_picker_raises_when_no_rung_fits(self):
         with pytest.raises(TruncationError, match="no ladder truncation"):
-            fock.pick_dim(lambda d: (coherent_fock(8.0, d),))
+            fock.pick_dim(lambda d: (coherent_fock(14.0, d),))

@@ -509,6 +509,12 @@ class TestConstruction:
         quad[0, 0] = 5.0  # the state holds its own copy
         assert state.quads[0, 0, 0] == 1.0
 
+    @pytest.mark.parametrize("make", [vacuum_chi, lambda: cat_chi_stack(1.0, "even")])
+    def test_equality_and_hash_are_identity(self, make):
+        a, b = make(), make()
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2
+
     @pytest.mark.parametrize("n_modes, weights, quads, lins, match", [
         (0, [1.0], np.eye(2)[None], np.zeros((1, 2)), "n_modes"),
         (1, [], np.zeros((0, 2, 2)), np.zeros((0, 2)), "at least one weight"),

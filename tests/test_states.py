@@ -221,9 +221,9 @@ class TestSubtractedOverlap:
         assert coarse == pytest.approx(fine, abs=1e-9)
 
     def test_unfit_size_raises_instead_of_truncating(self):
-        # a size-8 cat overflows the whole ladder (its exact value is 1)
+        # a size-14 cat overflows the whole ladder (its exact value is 1)
         with pytest.raises(fock.TruncationError):
-            subtracted_squeezed_cat_overlap(8.0, "even", 0.0, 8.0)
+            subtracted_squeezed_cat_overlap(14.0, "even", 0.0, 14.0)
 
 
 def test_opposite_parity_helper():
