@@ -68,7 +68,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity: generated == would compare arrays
 class FockVector:
     """Pure state over number states |0>, ..., |dim-1>."""
 
@@ -99,7 +99,7 @@ class FockVector:
         return float(np.sum(np.abs(self.amps[max(0, self.dim - TAIL_MARGIN):]) ** 2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity: generated == would compare arrays
 class FockDensity:
     """Mixed state as a dense dim x dim matrix."""
 
@@ -131,7 +131,7 @@ class FockDensity:
         return float(np.linalg.eigvalsh(self.matrix)[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity: generated == would compare arrays
 class TwoModeFock:
     """Pure two-mode state over the product number basis |n1, n2>, with
     ``amps`` of shape (d1, d2)."""

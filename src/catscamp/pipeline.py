@@ -39,10 +39,12 @@ from .states import (
     cat_chi,
     cat_chi_stack,
     cat_fock,
+    cat_fock_stack,
     coherent_chi,
     coherent_fock,
     opposite_parity,
     optimal_squeezing,
+    parity_indices,
     squeezed_vacuum_chi,
     squeezed_vacuum_fock,
     vacuum_chi,
@@ -259,25 +261,48 @@ def _chi_fidelity_curve(out: GaussianSumState, parity: str):
     return lambda betas: pair(cat_chi_stack(betas, parity))
 
 
+def _fock_fidelity_curve(out: FockDensity, parity: str):
+    """beta -> <cat_fock(beta, parity)| out |cat_fock(beta, parity)> for an
+    array of beta.
+
+    The cats are real and live on the states of their parity, so the
+    fidelity is c . Re(rho) c over that block, which is cut out once here.
+    Every row takes its own product and a running sum, so a row never
+    depends on how many are evaluated with it: one point of the
+    golden-section search equals its entry in the coarse scan bit for bit.
+    """
+    kept = parity_indices(parity, out.dim)
+    block = out.matrix.real[np.ix_(kept, kept)]
+
+    def curve(betas):
+        cats = cat_fock_stack(betas, parity, out.dim)
+        products = np.array([block @ cat for cat in cats])
+        return np.add.accumulate(cats * products, axis=1)[:, -1]
+
+    return curve
+
+
 def _beta_bracket(alpha: float):
     return max(0.5 * alpha, 1e-3), 3.0 * alpha + 0.5
 
 
-def _optimize_beta(fid, alpha: float, tol: float = 1e-6, scan=None):
+def _optimize_beta(curve, alpha: float, tol: float = 1e-6):
     """Search the target size on [max(alpha/2, guard), 3 alpha + 1/2].
 
-    The lower edge guards the beta > 0 domain of odd targets.  For
-    degenerate inputs the fidelity keeps rising toward beta = 0 (the target
-    degenerates to a single photon); the guard-constrained maximum is
-    returned in that case.  A maximum at the upper edge is a genuine
+    ``curve`` evaluates the fidelity on an array of beta: the coarse scan is
+    one call of it, and every later point of :func:`golden_section_max` its
+    one-row case.  The lower edge guards the beta > 0 domain of odd targets.
+    For degenerate inputs the fidelity keeps rising toward beta = 0 (the
+    target degenerates to a single photon); the guard-constrained maximum
+    is returned in that case.  A maximum at the upper edge is a genuine
     bracketing failure and propagates with the coarse scan attached.
-    ``scan`` is passed on to :func:`golden_section_max`.
     """
+    fid = lambda b: float(curve(b)[0])
     lo, hi = _beta_bracket(alpha)
     try:
-        return golden_section_max(fid, lo, hi, tol=tol, scan=scan)
+        return golden_section_max(fid, lo, hi, tol=tol, scan=curve)
     except BracketError as exc:
-        if exc.scan_f is not None and int(np.argmax(exc.scan_f)) == 0:
+        if int(np.argmax(exc.scan_f)) == 0:
             return float(lo), float(fid(lo))
         raise
 
@@ -305,9 +330,8 @@ def run_parity_swap(cfg: PipelineConfig, optimize: bool = True) -> PipelineResul
         out_chi, p2 = _chi_subtraction(kept, cfg)
         beta = fstar = None
         if optimize:
-            curve = _chi_fidelity_curve(out_chi, cfg.target_parity)
             beta, fstar = _optimize_beta(
-                lambda b: float(curve(b)[0]), cfg.alpha, scan=curve
+                _chi_fidelity_curve(out_chi, cfg.target_parity), cfg.alpha
             )
         records["chi"] = EngineRecord(p1, p2, beta, fstar)
 
@@ -322,8 +346,7 @@ def run_parity_swap(cfg: PipelineConfig, optimize: bool = True) -> PipelineResul
         beta = fstar = None
         if optimize:
             beta, fstar = _optimize_beta(
-                lambda b: fock.fidelity_fock(cat_fock(b, cfg.target_parity, dim), out_fock),
-                cfg.alpha,
+                _fock_fidelity_curve(out_fock, cfg.target_parity), cfg.alpha
             )
         records["fock"] = EngineRecord(p1, p2, beta, fstar)
 
@@ -366,7 +389,7 @@ def fidelity_vs_ideal(result: PipelineResult, beta: float, parity: str | None = 
     if result.output_chi is not None:
         return overlap(cat_chi(beta, parity), result.output_chi)
     if result.output_fock is not None:
-        return fock.fidelity_fock(cat_fock(beta, parity, result.fock_dim), result.output_fock)
+        return float(_fock_fidelity_curve(result.output_fock, parity)(beta)[0])
     raise ValueError("result carries no output state")
 
 

@@ -16,6 +16,7 @@ docstrings); they are audited and reported, never load-bearing.  See
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -44,6 +45,8 @@ __all__ = [
     "squeeze_chi",
     "coherent_fock",
     "cat_fock",
+    "cat_fock_stack",
+    "parity_indices",
     "squeezed_vacuum_fock",
     "squeezed_coherent_fock",
     "cat_squeezed_overlap",
@@ -251,14 +254,52 @@ def coherent_fock(alpha: float, dim: int = fock.DEFAULT_DIM) -> FockVector:
     return FockVector(amps)
 
 
+def parity_indices(parity: str, dim: int) -> np.ndarray:
+    """The number states n < dim of a parity: where a cat of it lives."""
+    return np.arange(0 if parity_sign(parity) > 0 else 1, dim, 2)
+
+
+@functools.lru_cache(maxsize=64)
+def _cat_fock_table(parity: str, dim: int):
+    """The kept n >= 1 of :func:`parity_indices` as floats and 1/2 log n! at each,
+    summed in the order :func:`coherent_fock` sums it."""
+    n = np.arange(1, dim, dtype=float)
+    half_log_fact = 0.5 * np.cumsum(np.log(n))
+    kept = parity_indices(parity, dim)
+    kept = kept[kept >= 1]
+    table = (n[kept - 1], half_log_fact[kept - 1])
+    for a in table:
+        a.setflags(write=False)
+    return table
+
+
+def cat_fock_stack(alphas, parity: str, dim: int = fock.DEFAULT_DIM) -> np.ndarray:
+    """:func:`cat_fock` for an array of sizes: a real (B, len(parity_indices))
+    array whose row b holds cat b's amplitudes on the states of its parity.
+
+    Each entry is the coherent amplitude exp((-alpha/2) alpha + (n log alpha
+    - 1/2 log n!)) times 2 N, with the per-size scalars taken by ``math``, so
+    every row is bit-identical to the lone cat's.
+    """
+    specs = [CatSpec(a, parity) for a in np.atleast_1d(alphas)]
+    n, half_log_fact = _cat_fock_table(parity, dim)
+    gauss = np.array([(-0.5 * spec.alpha) * spec.alpha for spec in specs])
+    log_a = np.array([math.log(spec.alpha) if spec.alpha > 0.0 else -math.inf
+                      for spec in specs])
+    amps = np.empty((len(specs), parity_indices(parity, dim).size))
+    amps[:, amps.shape[1] - n.size:] = np.exp(
+        gauss[:, None] + (n * log_a[:, None] - half_log_fact))
+    if parity == EVEN:  # n = 0, by math.exp as coherent_fock takes it
+        amps[:, 0] = [math.exp(g) for g in gauss]
+    scale = np.array([math.sqrt(spec.norm_squared()) for spec in specs])
+    return (2.0 * amps) * scale[:, None]
+
+
 def cat_fock(alpha: float, parity: str, dim: int = fock.DEFAULT_DIM) -> FockVector:
-    """Cat state amplitudes with exact zeros on the forbidden parity."""
-    spec = CatSpec(alpha, parity)
-    base = coherent_fock(spec.alpha, dim).amps
-    n = np.arange(dim)
-    keep = (n % 2 == 0) if parity == EVEN else (n % 2 == 1)
-    amps = np.where(keep, 2.0 * base, 0.0)
-    amps = amps * math.sqrt(spec.norm_squared())
+    """Cat state amplitudes with exact zeros on the forbidden parity: the
+    one-row case of :func:`cat_fock_stack`."""
+    amps = np.zeros(dim, dtype=complex)
+    amps[parity_indices(parity, dim)] = cat_fock_stack(alpha, parity, dim)[0]
     return FockVector(amps)
 
 

@@ -116,6 +116,15 @@ class TestBeamsplitterBlocks:
             assert np.max(np.abs(block @ block.conj().T - np.eye(block.shape[0]))) <= 1e-12
 
 
+    def test_splitter_off_the_unit_circle_is_normalised(self):
+        # passes the 1e-12 unitarity guard; without the cos/sin-of-theta
+        # normalisation the top sector would be scaled by (t^2 + r^2)^(199/2)
+        t = r = HALF * (1.0 + 4e-13)
+        assert abs(t * t + r * r - 1.0) <= 1e-12
+        _, block = fock._beamsplitter_blocks.__wrapped__(t, r, 200)[-1]
+        assert np.max(np.abs(block.conj().T @ block - np.eye(block.shape[0]))) <= 1e-13
+
+
 def ensemble_subtraction(rho1: FockDensity, cfg: PipelineConfig):
     """Stage 2 by the eigenvector ensemble of rho1 through a two-mode
     splitter with a vacuum ancilla: the pipeline's original stage, kept here
@@ -376,6 +385,18 @@ class TestChiFromFock:
     def test_probe_radius_warning(self):
         with pytest.warns(UserWarning, match="reliable radius"):
             chi_from_fock(vacuum_vector(16), 4.0 + 0.0j)
+
+
+class TestStateClasses:
+    @pytest.mark.parametrize("make", [
+        lambda: vacuum_vector(4),
+        lambda: FockDensity(np.eye(2)),
+        lambda: TwoModeFock(np.eye(3)),
+    ])
+    def test_equality_and_hash_are_identity(self, make):
+        a, b = make(), make()
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2
 
 
 class TestTruncationControl:

@@ -24,8 +24,15 @@ from catscamp.pipeline import (
     run_parity_swap,
     wigner_report,
 )
-from catscamp.pipeline import _beta_bracket, _chi_fidelity_curve, _optimize_beta
-from catscamp.states import cat_chi
+from catscamp import fock, pipeline
+from catscamp.fock import FockDensity
+from catscamp.pipeline import (
+    _beta_bracket,
+    _chi_fidelity_curve,
+    _fock_fidelity_curve,
+    _optimize_beta,
+)
+from catscamp.states import cat_chi, cat_fock
 
 
 class TestGoldenSection:
@@ -70,10 +77,9 @@ class TestGoldenSection:
         assert np.array_equal(batched.value.scan_f, np.linspace(0.0, 1.0, 64))
 
     def test_lower_guard_fallback_fires_with_scan(self):
-        f = lambda b: 1.0 - b  # keeps rising toward beta = 0
+        curve = lambda bs: 1.0 - np.atleast_1d(bs)  # keeps rising toward beta = 0
         lo, _ = _beta_bracket(0.8)
-        assert _optimize_beta(f, 0.8, scan=np.vectorize(f)) == (lo, f(lo))
-        assert _optimize_beta(f, 0.8) == (lo, f(lo))
+        assert _optimize_beta(curve, 0.8) == (lo, 1.0 - lo)
 
     @pytest.mark.parametrize("parity, eta", [("even", 1.0), ("odd", 0.8)])
     def test_chi_search_equals_per_point_overlap_search(self, parity, eta):
@@ -88,7 +94,49 @@ class TestGoldenSection:
         bad = GaussianSumState(1, [1.0], [-2.0 * np.eye(2)], np.zeros((1, 2)))
         with pytest.raises(NonIntegrableError):
             curve = _chi_fidelity_curve(bad, "odd")
-            _optimize_beta(lambda b: float(curve(b)[0]), 1.0, scan=curve)
+            _optimize_beta(curve, 1.0)
+
+
+def random_density(dim: int, seed: int) -> FockDensity:
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    return FockDensity(rho / np.trace(rho).real)
+
+
+class TestFockSearch:
+    @given(
+        betas=st.lists(st.floats(1e-3, 6.0), min_size=1, max_size=16),
+        parity=st.sampled_from(["even", "odd"]),
+        dim=st.sampled_from(fock.DIM_LADDER),
+        seed=st.integers(0, 2**16),
+    )
+    def test_curve_rows_are_the_lone_point(self, betas, parity, dim, seed):
+        rho = random_density(dim, seed)
+        curve = _fock_fidelity_curve(rho, parity)
+        values = curve(betas)
+        for beta, value in zip(betas, values):
+            assert value == curve(beta)[0]  # bit for bit, whatever the batch
+            assert abs(value - fock.fidelity_fock(cat_fock(beta, parity, dim), rho)) <= 1e-14
+
+    def test_fidelity_vs_ideal_is_the_search_curve(self):
+        res = run_parity_swap(PipelineConfig(alpha=1.1, parity="odd", eta1=0.8, engine="fock"))
+        assert fidelity_vs_ideal(res, res.beta_star) == res.fidelity_star
+
+    def test_cold_search_builds_cats_only_in_the_picker(self, monkeypatch):
+        for obj in vars(fock).values():
+            if callable(getattr(obj, "cache_clear", None)):
+                obj.cache_clear()
+        built, fidelities = [], []
+        real_cat_fock, real_fidelity = pipeline.cat_fock, fock.fidelity_fock
+        monkeypatch.setattr(pipeline, "cat_fock",
+                            lambda *args: built.append(args) or real_cat_fock(*args))
+        monkeypatch.setattr(fock, "fidelity_fock",
+                            lambda *args: fidelities.append(args) or real_fidelity(*args))
+        res = run_parity_swap(PipelineConfig(alpha=1.4, parity="even", engine="fock"))
+        rungs = fock.DIM_LADDER[:fock.DIM_LADDER.index(res.fock_dim) + 1]
+        assert len(rungs) > 1 and built == [(1.4, "even", d) for d in rungs]
+        assert fidelities == []
 
 
 class TestConfig:

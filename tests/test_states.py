@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from catscamp import fock
 from catscamp.fock import chi_from_fock
@@ -21,11 +23,14 @@ from catscamp.states import (
     SqueezeSpec,
     cat_chi,
     cat_fock,
+    cat_fock_stack,
     cat_squeezed_overlap,
     coherent_chi,
+    coherent_fock,
     comparison_channel_params,
     opposite_parity,
     optimal_squeezing,
+    parity_indices,
     squeeze_chi,
     squeezed_coherent_chi,
     squeezed_coherent_fock,
@@ -65,6 +70,16 @@ class TestSpecs:
         assert spec.s_db == pytest.approx(6.2696, abs=1e-3)
 
 
+def coherent_cat_amps(alpha: float, parity: str, dim: int) -> np.ndarray:
+    """The cat from the coherent amplitudes, as cat_fock built it before the
+    stacked form: the reference its amplitudes must equal bit for bit."""
+    spec = CatSpec(alpha, parity)
+    base = coherent_fock(spec.alpha, dim).amps
+    n = np.arange(dim)
+    keep = (n % 2 == 0) if parity == "even" else (n % 2 == 1)
+    return np.where(keep, 2.0 * base, 0.0) * math.sqrt(spec.norm_squared())
+
+
 class TestConstructors:
     def test_even_cat_fock_amplitudes_match_series(self):
         # theta = 0 branch: amps[2n] = alpha^(2n) / sqrt((2n)!) / sqrt(cosh alpha^2)
@@ -82,6 +97,25 @@ class TestConstructors:
             expect = alpha**n / math.sqrt(math.factorial(n) * math.sinh(alpha * alpha))
             assert amps[n] == pytest.approx(expect, abs=1e-12)
         assert np.all(amps[0::2] == 0.0)
+
+    @given(
+        alphas=st.lists(st.floats(1e-3, 6.0), min_size=1, max_size=8),
+        parity=st.sampled_from(["even", "odd"]),
+        dim=st.sampled_from(fock.DIM_LADDER),
+    )
+    def test_cat_fock_stack_rows_equal_cat_fock(self, alphas, parity, dim):
+        stack = cat_fock_stack(alphas, parity, dim)
+        kept = parity_indices(parity, dim)
+        assert stack.shape == (len(alphas), kept.size)
+        for alpha, row in zip(alphas, stack):
+            amps = cat_fock(alpha, parity, dim).amps
+            assert np.array_equal(amps[kept].real, row)
+            assert np.array_equal(amps, coherent_cat_amps(alpha, parity, dim))
+
+    def test_zero_size_even_cat_fock_is_vacuum(self):
+        amps = cat_fock(0.0, "even", 10).amps
+        assert np.array_equal(amps, np.eye(10)[0])
+        assert np.array_equal(amps, coherent_cat_amps(0.0, "even", 10))
 
     def test_zero_squeezing_chi_is_vacuum(self):
         state = squeezed_vacuum_chi(0.0)
