@@ -10,6 +10,13 @@ __all__ = ["BracketError", "golden_section_max"]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+# golden steps per batched call when a vectorised ``scan`` is given: each batch
+# evaluates the 2**depth - 1 points its steps could need.  On a 2-vCPU x86-64
+# box with one BLAS thread, depths 3 and 4 ran within noise of each other on
+# the chi and Fock fidelity curves and 5 ran slower; 4 keeps a search to at
+# most 11 calls of the curve.
+_SPECULATION_DEPTH = 4
+
 
 class BracketError(Exception):
     """The coarse scan failed to bracket an interior maximum."""
@@ -18,6 +25,32 @@ class BracketError(Exception):
         super().__init__(message)
         self.scan_x = scan_x
         self.scan_f = scan_f
+
+
+def _golden_step(a, b, c, d, left):
+    """One golden-section bracket update; ``left`` keeps [a, d] (f(c) > f(d)).
+
+    Returns the new ``(a, b, c, d)`` and the one new point, whose value the
+    next step needs.
+    """
+    if left:
+        b, d = d, c
+        c = b - _INV_PHI * (b - a)
+        return a, b, c, d, c
+    a, c = c, d
+    d = a + _INV_PHI * (b - a)
+    return a, b, c, d, d
+
+
+def _speculate(a, b, c, d, x, depth, tol):
+    """The new point ``x`` of the bracket (a, b, c, d) and every point the
+    next ``depth - 1`` golden steps could need, either way each comparison
+    goes: 2**depth - 1 points at most, all inside [a, b]."""
+    points = [x]
+    if depth > 1 and (b - a) > tol:
+        for left in (True, False):
+            points += _speculate(*_golden_step(a, b, c, d, left), depth - 1, tol)
+    return points
 
 
 def golden_section_max(f, lo, hi, tol=1e-6, n_coarse=64, polish_h=4e-3, scan=None):
@@ -32,16 +65,29 @@ def golden_section_max(f, lo, hi, tol=1e-6, n_coarse=64, polish_h=4e-3, scan=Non
     bracket decisions become noise-driven.  Returns ``(x_star, f_star)``.
 
     ``scan``, when given, evaluates ``f`` on an array of points in one call
-    and must agree with ``f`` point by point; it replaces the coarse scan's
-    ``n_coarse`` separate calls.
+    and must agree with ``f`` point by point.  It then takes the coarse
+    scan, the first golden pair and the polish stencil in one call each, and
+    the golden steps in batches: the next point is fixed by the last
+    comparison, so one call evaluates it together with every point the
+    following ``_SPECULATION_DEPTH - 1`` steps could need, and the steps
+    replay against those values.  The bracket arithmetic is the same either
+    way, so the result is bit-identical to the search with ``f`` alone, which
+    is the batch size 1 case of the same loop.
 
     Raises :class:`BracketError` (with the scan attached) when the coarse
     maximum sits on the boundary, i.e. no interior bracket exists.
     """
     if not hi > lo:
         raise ValueError("need hi > lo")
+    depth = 1 if scan is None else _SPECULATION_DEPTH
+
+    def evaluate(points):
+        if scan is None:
+            return [f(x) for x in points]
+        return np.asarray(scan(np.asarray(points)), dtype=float)
+
     xs = np.linspace(lo, hi, n_coarse)
-    fs = np.array([f(x) for x in xs]) if scan is None else np.asarray(scan(xs), dtype=float)
+    fs = np.asarray(evaluate(xs), dtype=float)
     best = int(np.argmax(fs))
     if best == 0 or best == n_coarse - 1:
         raise BracketError(
@@ -52,20 +98,22 @@ def golden_section_max(f, lo, hi, tol=1e-6, n_coarse=64, polish_h=4e-3, scan=Non
     a, b = xs[best - 1], xs[best + 1]
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
+    fc, fd = evaluate([c, d])
+    known = {}
     while (b - a) > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
+        left = fc > fd
+        a, b, c, d, x = _golden_step(a, b, c, d, left)
+        if x not in known:
+            points = _speculate(a, b, c, d, x, depth, tol)
+            known = dict(zip(points, evaluate(points)))
+        if left:
+            fc, fd = known[x], fc
         else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
+            fc, fd = fd, known[x]
     x_star, f_star = (c, fc) if fc > fd else (d, fd)
     if polish_h and hi - lo > 2.0 * polish_h:
         xc = min(max(x_star, lo + polish_h), hi - polish_h)
-        f0, f1, f2 = f(xc - polish_h), f(xc), f(xc + polish_h)
+        f0, f1, f2 = evaluate([xc - polish_h, xc, xc + polish_h])
         denom = f0 - 2.0 * f1 + f2
         if denom < 0.0:  # concave stencil: the parabola has a maximum
             vertex = xc + 0.5 * polish_h * (f0 - f2) / denom

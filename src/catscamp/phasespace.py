@@ -278,10 +278,11 @@ class TraceRule:
 
     Every term pair (j, k) is the Gaussian integral with matrix
     Q_j + M_k and linear part l_bj - l_k.  The J*K Cholesky factors do not
-    depend on the row, so they are taken once, here; each call then makes
-    one broadcast solve over all B*J*K pairs.  Raises
-    :class:`NonIntegrableError` if any combined form is not positive
-    definite.
+    depend on the row, so they are taken once, here; each call then solves
+    each factor once, with the B rows' linear parts as its right-hand
+    sides, rather than once per pair.  Each column of that solve is the
+    one-column solve bit for bit.  Raises :class:`NonIntegrableError` if
+    any combined form is not positive definite.
 
     Every row is computed with the same elementwise operations as a lone
     term pair, and the weighted pairs are accumulated in order (row term
@@ -314,7 +315,10 @@ class TraceRule:
             raise ValueError("stack quadratic forms differ from the factored ones")
         lin = stack.lins[:, :, None, :] - self.lins
         # b^T A^-1 b = z^T z with z = L^-1 b (bilinear, not conjugated)
-        z = np.linalg.solve(self.chol, lin[..., None])[..., 0]
+        # one solve per factor, the rows its right-hand sides; z is made
+        # contiguous again, as np.sum adds a strided axis in another order
+        z = np.ascontiguousarray(
+            np.moveaxis(np.linalg.solve(self.chol, np.moveaxis(lin, 0, -1)), -1, 0))
         val = np.exp(0.5 * np.sum(z * z, axis=-1) + self.log_2pi_half
                      - self.log_sqrt_det)
         w = _product(stack.weights[:, :, None], self.weights)

@@ -97,7 +97,7 @@ class PipelineConfig:
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
-        states.parity_sign(self.parity)
+        states.CatSpec(self.alpha, self.parity)  # also rejects a cat whose N^2 overflows
         if isinstance(self.squeezing, str):
             if self.squeezing != "auto":
                 raise ValueError("squeezing must be a number or 'auto'")

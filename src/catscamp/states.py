@@ -88,7 +88,8 @@ class CatSpec:
     """Cat state parameters: real amplitude plus an even/odd parity tag.
 
     The normalization constants are N_pm^2 = 1/(2 +- 2 exp(-2 alpha^2));
-    the odd cat is undefined at alpha = 0 where its norm diverges.
+    the odd cat is undefined at alpha = 0 where its norm diverges, and is
+    rejected at sizes so small that N_-^2 overflows.
     """
 
     alpha: float
@@ -96,18 +97,44 @@ class CatSpec:
 
     def __post_init__(self):
         alpha = _real_scalar(self.alpha, "alpha")
-        parity_sign(self.parity)
-        if self.parity == ODD and alpha <= 0.0:
-            raise ValueError("odd cat requires alpha > 0 (norm diverges at 0)")
-        if alpha < 0.0:
-            raise ValueError("alpha must be nonnegative")
+        _cat_sizes(alpha, self.parity)
         object.__setattr__(self, "alpha", alpha)
 
     def norm_squared(self) -> float:
         """N_pm^2, computed cancellation-free near alpha = 0."""
-        if self.parity == EVEN:
-            return 1.0 / (2.0 + 2.0 * math.exp(-2.0 * self.alpha**2))
-        return 1.0 / (-2.0 * math.expm1(-2.0 * self.alpha**2))
+        return _norm_squared(self.alpha, self.parity)
+
+
+def _norm_squared(alpha: float, parity: str) -> float:
+    """N_pm^2 of one size; inf where the odd cat's 2 - 2 exp(-2 alpha^2)
+    underflows to 0."""
+    if parity == EVEN:
+        return 1.0 / (2.0 + 2.0 * math.exp(-2.0 * alpha**2))
+    den = -2.0 * math.expm1(-2.0 * alpha**2)
+    return 1.0 / den if den else math.inf
+
+
+def _cat_sizes(alphas, parity: str):
+    """The one size check of a cat or a stack of cats.
+
+    Returns the sizes as a list of floats and N_pm^2 of each, taken one size
+    at a time by ``math``.  Raises ``TypeError`` for complex sizes and
+    ``ValueError`` for a negative size, an odd cat of size 0, or a size
+    whose N_pm^2 is not finite (an odd cat so small that alpha^2 underflows).
+    """
+    a = np.atleast_1d(alphas)
+    if np.iscomplexobj(a):
+        raise TypeError("alpha must be real; complex values are unsupported")
+    sizes = a.astype(float).tolist()
+    if parity_sign(parity) < 0 and any(x <= 0.0 for x in sizes):
+        raise ValueError("odd cat requires alpha > 0 (norm diverges at 0)")
+    if any(x < 0.0 for x in sizes):
+        raise ValueError("alpha must be nonnegative")
+    norm2 = [_norm_squared(x, parity) for x in sizes]
+    if not all(map(math.isfinite, norm2)):
+        x = next(x for x, n2 in zip(sizes, norm2) if not math.isfinite(n2))
+        raise ValueError(f"{parity} cat norm N^2 is not finite at alpha = {x:g}")
+    return sizes, norm2
 
 
 @dataclass(frozen=True)
@@ -196,19 +223,16 @@ def cat_chi_stack(alphas, parity: str) -> GaussianSumStack:
     cats is one :class:`GaussianSumStack` whose rows differ only in their
     weights and linear parts.
     """
-    specs = [CatSpec(a, parity) for a in np.atleast_1d(alphas)]
+    sizes, norm2 = _cat_sizes(alphas, parity)
     sign = parity_sign(parity)
-    a = np.array([spec.alpha for spec in specs])
-    weights = np.empty((len(specs), 4), dtype=complex)
-    for row, spec in zip(weights, specs):
-        norm2 = spec.norm_squared()
-        row[:2] = norm2
-        row[2:] = norm2 * sign * math.exp(-2.0 * spec.alpha * spec.alpha)
-    lins = np.zeros((len(specs), 4, 2), dtype=complex)
-    lins.imag[:, 0, 1] = 2.0 * a
-    lins.imag[:, 1, 1] = -2.0 * a
-    lins.real[:, 2, 0] = -2.0 * a
-    lins.real[:, 3, 0] = 2.0 * a
+    cross = [n2 * sign * math.exp(-2.0 * x * x) for x, n2 in zip(sizes, norm2)]
+    weights = np.array([norm2, norm2, cross, cross], dtype=complex).T
+    two_a = 2.0 * np.array(sizes)
+    lins = np.zeros((len(sizes), 4, 2), dtype=complex)
+    lins.imag[:, 0, 1] = two_a
+    lins.imag[:, 1, 1] = -two_a
+    lins.real[:, 2, 0] = -two_a
+    lins.real[:, 3, 0] = two_a
     return GaussianSumStack(1, weights, _CAT_QUADS, lins)
 
 
@@ -281,17 +305,16 @@ def cat_fock_stack(alphas, parity: str, dim: int = fock.DEFAULT_DIM) -> np.ndarr
     - 1/2 log n!)) times 2 N, with the per-size scalars taken by ``math``, so
     every row is bit-identical to the lone cat's.
     """
-    specs = [CatSpec(a, parity) for a in np.atleast_1d(alphas)]
+    sizes, norm2 = _cat_sizes(alphas, parity)
     n, half_log_fact = _cat_fock_table(parity, dim)
-    gauss = np.array([(-0.5 * spec.alpha) * spec.alpha for spec in specs])
-    log_a = np.array([math.log(spec.alpha) if spec.alpha > 0.0 else -math.inf
-                      for spec in specs])
-    amps = np.empty((len(specs), parity_indices(parity, dim).size))
+    gauss = np.array([(-0.5 * x) * x for x in sizes])
+    log_a = np.array([math.log(x) if x > 0.0 else -math.inf for x in sizes])
+    amps = np.empty((len(sizes), parity_indices(parity, dim).size))
     amps[:, amps.shape[1] - n.size:] = np.exp(
         gauss[:, None] + (n * log_a[:, None] - half_log_fact))
     if parity == EVEN:  # n = 0, by math.exp as coherent_fock takes it
         amps[:, 0] = [math.exp(g) for g in gauss]
-    scale = np.array([math.sqrt(spec.norm_squared()) for spec in specs])
+    scale = np.array([math.sqrt(n2) for n2 in norm2])
     return (2.0 * amps) * scale[:, None]
 
 

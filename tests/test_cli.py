@@ -74,6 +74,8 @@ class TestRun:
             (("--alpha", "inf"), "alpha"),
             (("--squeezing", "3", "--engine", "fock"), "squeezing"),
             (("--t1", "1.0"), "t1"),
+            (("--alpha", "1e-200", "--parity", "odd"), "alpha"),
+            (("--alpha", "1e-160", "--parity", "odd", "--engine", "fock"), "alpha"),
         ],
     )
     def test_out_of_domain_value_exits_2_with_one_line(self, capsys, argv, field):

@@ -32,6 +32,7 @@ from catscamp.phasespace import (
     validate_state,
     wigner,
 )
+from catscamp.phasespace import _product
 from catscamp.pipeline import PipelineConfig, run_parity_swap
 from catscamp.states import (
     cat_chi,
@@ -330,6 +331,18 @@ def per_pair_overlap(a, b):
     return float(total.real / np.pi**a.n_modes)
 
 
+def per_pair_solve(pair, stack):
+    """``pair(stack)`` with one solve per (row, factor) pair, the kernel's
+    solve before it took all rows of a factor at once: the oracle of the
+    batched solve."""
+    lin = stack.lins[:, :, None, :] - pair.lins
+    z = np.linalg.solve(pair.chol, lin[..., None])[..., 0]
+    val = np.exp(0.5 * np.sum(z * z, axis=-1) + pair.log_2pi_half - pair.log_sqrt_det)
+    w = _product(stack.weights[:, :, None], pair.weights)
+    pairs = (w.real * val.real - w.imag * val.imag).reshape(len(stack.weights), -1)
+    return np.add.accumulate(pairs, axis=1)[:, -1] / np.pi**pair.n_modes
+
+
 class TestStackedKernel:
     """Every value of the stacked kernel equals the per-pair loop exactly."""
 
@@ -395,6 +408,29 @@ class TestStackedKernel:
             assert np.array_equal(single.weights, stack.weights[b])
             assert np.array_equal(single.quads, stack.quads)
             assert np.array_equal(single.lins, stack.lins[b])
+
+    @pytest.mark.parametrize("n_rows", [1, 2, 17, 64])
+    @pytest.mark.parametrize("n_modes", [1, 2])
+    def test_factor_solve_equals_per_pair_solve(self, n_modes, n_rows):
+        # the stack's forms have |l21| > l11 in some factors, where LAPACK pivots
+        rng = np.random.default_rng(10 * n_modes + n_rows)
+        d = 2 * n_modes
+        off_diagonal_scale = np.array([3.0, 1.0, 0.1])[:, None, None]
+        lower = np.tril(off_diagonal_scale * rng.normal(size=(3, d, d)), -1)
+        lower[:, range(d), range(d)] = rng.uniform(0.5, 1.5, size=(3, d))
+        lower[0, 1, 0] = 4.0
+        state = random_state(rng, n_modes, 5)
+        state = GaussianSumState(n_modes, state.weights, 0.01 * state.quads, state.lins)
+        stack = GaussianSumStack(
+            n_modes, rng.normal(size=(n_rows, 3)) + 1j * rng.normal(size=(n_rows, 3)),
+            lower @ lower.swapaxes(1, 2),
+            0.3 * (rng.normal(size=(n_rows, 3, d)) + 1j * rng.normal(size=(n_rows, 3, d))))
+        pair = TraceRule(stack.quads, state)
+        pivots = np.abs(pair.chol[..., 1, 0]) > pair.chol[..., 0, 0]
+        assert pivots.any() and not pivots.all()
+        values = pair(stack)
+        assert np.isfinite(values).all()
+        assert np.array_equal(values, per_pair_solve(pair, stack))
 
     def test_mismatched_quadratic_forms_rejected(self):
         pair = TraceRule(cat_chi_stack(1.0, "even").quads, vacuum_chi())

@@ -24,7 +24,7 @@ from catscamp.pipeline import (
     run_parity_swap,
     wigner_report,
 )
-from catscamp import fock, pipeline
+from catscamp import fock, optimize, pipeline
 from catscamp.fock import FockDensity
 from catscamp.pipeline import (
     _beta_bracket,
@@ -33,6 +33,15 @@ from catscamp.pipeline import (
     _optimize_beta,
 )
 from catscamp.states import cat_chi, cat_fock
+
+
+# smooth unimodal shapes with their maximum at u = 0
+UNIMODAL = [
+    lambda u: 1.0 - u * u,
+    lambda u: math.exp(-u * u),
+    lambda u: 1.0 / math.cosh(u),
+    lambda u: math.exp(-u * u) * (1.0 + 0.3 * math.tanh(u)),
+]
 
 
 class TestGoldenSection:
@@ -75,6 +84,64 @@ class TestGoldenSection:
         assert np.array_equal(batched.value.scan_x, per_point.value.scan_x)
         assert np.array_equal(batched.value.scan_f, per_point.value.scan_f)
         assert np.array_equal(batched.value.scan_f, np.linspace(0.0, 1.0, 64))
+
+    @given(
+        shape=st.sampled_from(UNIMODAL),
+        lo=st.floats(-5.0, 5.0),
+        span=st.floats(0.05, 10.0),
+        peak=st.floats(0.1, 0.9),
+        width=st.floats(0.02, 2.0),
+        steps=st.integers(1, 30),
+        polish_h=st.sampled_from([0.0, 4e-3]),
+    )
+    def test_speculative_search_equals_per_point_search(
+        self, shape, lo, span, peak, width, steps, polish_h
+    ):
+        hi, centre = lo + span, lo + peak * span
+        f = lambda x: shape((x - centre) / (width * span))
+        # a tol that `steps` golden steps reach, half a step from the next
+        tol = 2.0 * span / 63 * optimize._INV_PHI ** (steps - 0.5)
+        points = []
+        golden_section_max(lambda x: points.append(x) or f(x), lo, hi, tol=tol, polish_h=0.0)
+        assert len(points) == 64 + 2 + steps
+        rows = []
+        scan = lambda xs: rows.append(len(xs)) or np.vectorize(f)(xs)
+        per_point = golden_section_max(f, lo, hi, tol=tol, polish_h=polish_h)
+        assert golden_section_max(f, lo, hi, tol=tol, polish_h=polish_h, scan=scan) == per_point
+        polished = polish_h and span > 2.0 * polish_h
+        assert rows[:2] == [64, 2] and (rows[-1] == 3 or not polished)
+        batches = rows[2:-1] if polished else rows[2:]
+        # unless the depth divides `steps`, the search ends inside a batch; a
+        # point one branch shares with another can spare a batch
+        depth = optimize._SPECULATION_DEPTH
+        assert 1 <= len(batches) <= -(-steps // depth)
+        assert all(n <= 2**depth - 1 for n in batches)
+
+    @given(
+        shape=st.sampled_from(UNIMODAL),
+        lo=st.floats(-5.0, 5.0),
+        span=st.floats(0.05, 10.0),
+        edge=st.sampled_from([-0.5, 1.5]),
+    )
+    def test_speculative_search_raises_at_both_edges(self, shape, lo, span, edge):
+        hi, centre = lo + span, lo + edge * span
+        f = lambda x: shape((x - centre) / span)
+        with pytest.raises(BracketError) as per_point:
+            golden_section_max(f, lo, hi)
+        with pytest.raises(BracketError) as batched:
+            golden_section_max(f, lo, hi, scan=np.vectorize(f))
+        assert np.array_equal(batched.value.scan_f, per_point.value.scan_f)
+        assert int(np.argmax(per_point.value.scan_f)) == (0 if edge < 0 else 63)
+
+    @pytest.mark.parametrize("alpha, parity", [(0.3, "even"), (1.2, "odd"), (6.0, "even")])
+    def test_chi_search_makes_at_most_11_curve_calls(self, alpha, parity):
+        cfg = PipelineConfig(alpha=alpha, parity=parity)
+        out = run_parity_swap(cfg, optimize=False).output_chi
+        curve = _chi_fidelity_curve(out, cfg.target_parity)
+        rows = []
+        counted = lambda bs: rows.append(np.size(bs)) or curve(bs)
+        assert _optimize_beta(counted, alpha) == _optimize_beta(curve, alpha)
+        assert rows[0] == 64 and len(rows) <= 11
 
     def test_lower_guard_fallback_fires_with_scan(self):
         curve = lambda bs: 1.0 - np.atleast_1d(bs)  # keeps rising toward beta = 0

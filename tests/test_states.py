@@ -22,6 +22,7 @@ from catscamp.states import (
     ChannelParams,
     SqueezeSpec,
     cat_chi,
+    cat_chi_stack,
     cat_fock,
     cat_fock_stack,
     cat_squeezed_overlap,
@@ -30,6 +31,7 @@ from catscamp.states import (
     comparison_channel_params,
     opposite_parity,
     optimal_squeezing,
+    parity_sign,
     parity_indices,
     squeeze_chi,
     squeezed_coherent_chi,
@@ -68,6 +70,103 @@ class TestSpecs:
         assert squeezing_db(-0.5 * math.log(10.0) / 10.0) == pytest.approx(1.0, abs=1e-12)
         spec = SqueezeSpec(S_OPT_1)
         assert spec.s_db == pytest.approx(6.2696, abs=1e-3)
+
+
+def per_row_cat_chi_stack(alphas, parity: str):
+    """The weights and linear parts of ``cat_chi_stack`` as they were built
+    before its sizes were checked as one array: each size checked as
+    ``CatSpec`` checked it, then one row at a time.  The reference the stack
+    must equal bit for bit, and raise as."""
+    sizes = []
+    for value in np.atleast_1d(alphas):
+        if np.iscomplexobj(value):
+            raise TypeError("alpha must be real; complex values are unsupported")
+        alpha = float(value)
+        parity_sign(parity)
+        if parity == "odd" and alpha <= 0.0:
+            raise ValueError("odd cat requires alpha > 0 (norm diverges at 0)")
+        if alpha < 0.0:
+            raise ValueError("alpha must be nonnegative")
+        sizes.append(alpha)
+    sign = parity_sign(parity)
+    weights = np.empty((len(sizes), 4), dtype=complex)
+    for row, alpha in zip(weights, sizes):
+        if parity == "even":
+            norm2 = 1.0 / (2.0 + 2.0 * math.exp(-2.0 * alpha**2))
+        else:
+            norm2 = 1.0 / (-2.0 * math.expm1(-2.0 * alpha**2))
+        row[:2] = norm2
+        row[2:] = norm2 * sign * math.exp(-2.0 * alpha * alpha)
+    a = np.array(sizes)
+    lins = np.zeros((len(sizes), 4, 2), dtype=complex)
+    lins.imag[:, 0, 1] = 2.0 * a
+    lins.imag[:, 1, 1] = -2.0 * a
+    lins.real[:, 2, 0] = -2.0 * a
+    lins.real[:, 3, 0] = 2.0 * a
+    return weights, lins
+
+
+def stacked_arrays(alphas, parity: str):
+    stack = cat_chi_stack(alphas, parity)
+    return stack.weights, stack.lins
+
+
+def outcome(build, *args):
+    """What ``build(*args)`` returns, or the type and message it raises."""
+    try:
+        return build(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestCatSizeCheck:
+    @given(
+        alphas=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 6.0)), min_size=1, max_size=16),
+        parity=st.sampled_from(["even", "odd"]),
+    )
+    def test_stack_rows_equal_per_row_loop(self, alphas, parity):
+        expected = outcome(per_row_cat_chi_stack, alphas, parity)
+        got = outcome(stacked_arrays, alphas, parity)
+        if isinstance(expected[0], type):
+            assert got == expected
+        else:
+            assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])
+
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_dense_grid_equals_per_row_loop(self, parity):
+        # np.exp differs from math.exp in about 5 % of these sizes
+        alphas = np.linspace(1e-3, 6.0, 4001)
+        if parity == "even":
+            alphas = np.concatenate([[0.0], alphas])
+        weights, lins = stacked_arrays(alphas, parity)
+        expected_weights, expected_lins = per_row_cat_chi_stack(alphas, parity)
+        assert np.array_equal(weights, expected_weights)
+        assert np.array_equal(lins, expected_lins)
+
+    @pytest.mark.parametrize("alphas, parity", [
+        ([1.0 + 0.5j], "even"),
+        ([0.5, 1.0 + 0.0j], "odd"),
+        ([-0.5, 1.0 + 0.5j], "even"),
+        ([0.5, -0.2], "even"),
+        ([0.5, -0.2], "odd"),
+        (0.0, "odd"),
+        ([1.0, 0.0], "odd"),
+        (-1.0, "even"),
+        ([1.0], "magic"),
+    ])
+    def test_bad_sizes_raise_as_the_per_row_loop(self, alphas, parity):
+        expected = outcome(per_row_cat_chi_stack, alphas, parity)
+        assert isinstance(expected[0], type)
+        assert outcome(cat_chi_stack, alphas, parity) == expected
+
+    @pytest.mark.parametrize("alpha", [1e-160, 1e-200])
+    def test_odd_cat_with_overflowing_norm_rejected(self, alpha):
+        for build in (lambda: cat_chi_stack([1.0, alpha], "odd"),
+                      lambda: cat_fock(alpha, "odd", 40),
+                      lambda: CatSpec(alpha, "odd")):
+            with pytest.raises(ValueError, match="not finite"):
+                build()
+        assert np.isfinite(cat_chi_stack(alpha, "even").weights).all()
 
 
 def coherent_cat_amps(alpha: float, parity: str, dim: int) -> np.ndarray:
