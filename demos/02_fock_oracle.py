@@ -61,7 +61,7 @@ print(f"coherent-pair map fidelity: {np.abs(np.vdot(expect, mixed.amps))**2:.12f
 # Photon subtraction swaps a cat's parity (and a Geiger click heralds it).
 # ---------------------------------------------------------------------------
 even = cat_fock(1.0, "even", DIM)
-lowered, norm = ladder(even, "annihilate")
+lowered, norm = ladder(even)
 odd = cat_fock(1.0, "odd", DIM)
 print(f"\n|<odd cat| a |even cat>|^2 after normalization: "
       f"{np.abs(np.vdot(odd.amps, lowered.amps / norm))**2:.12f}")

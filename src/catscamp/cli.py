@@ -1,15 +1,16 @@
 """Command-line front end: run, sweep, wigner, validate.
 
-Configuration precedence is flag > config file > default.  The config file
-is flat ``key = value`` text with ``#`` comments; keys mirror the long
-flags.  Exit codes: 0 success, 1 engine/runtime error, 2 usage or
-configuration error.
+Configuration precedence is flag > config file > default, the defaults
+being :class:`PipelineConfig`'s.  The config file is flat ``key = value``
+text with ``#`` comments; keys mirror the long flags.  Exit codes: 0
+success, 1 engine/runtime error, 2 usage or configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import sys
 
@@ -36,6 +37,9 @@ CONFIG_KEYS = {
     "grid": str,
     "out": str,
 }
+
+# the keys that are PipelineConfig's fields: its defaults and checks apply
+_RUN_KEYS = tuple(f.name for f in dataclasses.fields(PipelineConfig))
 
 
 class ConfigError(Exception):
@@ -86,8 +90,8 @@ def _parse_grid(text: str):
     return grid[grid <= hi + 1e-12 * max(1.0, abs(hi))]
 
 def _squeezing_value(text):
-    if text is None or text == "auto":
-        return "auto"
+    if text == "auto":
+        return text
     try:
         return float(text)
     except ValueError as exc:
@@ -110,28 +114,32 @@ def _merged(args, file_cfg: dict, key: str, default=None):
     return default
 
 
-def _build_pipeline_config(args, file_cfg) -> PipelineConfig:
+def _run_params(args, file_cfg) -> dict:
+    """The run parameters given by flag or config file, flag first; the
+    ones given by neither are left to :class:`PipelineConfig`'s defaults."""
+    params = {}
+    for key in _RUN_KEYS:
+        value = _merged(args, file_cfg, key)
+        if value is not None:
+            params[key] = value
+    if "squeezing" in params:
+        params["squeezing"] = _squeezing_value(params["squeezing"])
+    return params
+
+
+def _checked(build, **kwargs):
+    """Build a config or spec; an out-of-domain value is a usage error."""
     try:
-        return PipelineConfig(
-            alpha=float(_merged(args, file_cfg, "alpha", 1.0)),
-            parity=_merged(args, file_cfg, "parity", "even"),
-            squeezing=_squeezing_value(_merged(args, file_cfg, "squeezing", "auto")),
-            t1=float(_merged(args, file_cfg, "t1", np.sqrt(0.5))),
-            t2=float(_merged(args, file_cfg, "t2", np.sqrt(0.95))),
-            eta1=float(_merged(args, file_cfg, "eta1", 1.0)),
-            eta2=float(_merged(args, file_cfg, "eta2", 1.0)),
-            engine=_merged(args, file_cfg, "engine", "chi"),
-            truncation=_merged(args, file_cfg, "truncation", None),
-        )
+        return build(**kwargs)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _add_common_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--engine", choices=("chi", "fock", "both"))
+    parser.add_argument("--engine", help="chi, fock or both")
     parser.add_argument("--alpha", type=float, help="input cat size")
-    parser.add_argument("--parity", choices=("even", "odd"))
+    parser.add_argument("--parity", help="even or odd")
     parser.add_argument("--squeezing", help="'auto' or a signed squeezing value")
     parser.add_argument("--t1", type=float, help="comparison-splitter transmission")
     parser.add_argument("--t2", type=float, help="subtraction-splitter transmission")
@@ -142,7 +150,7 @@ def _add_common_flags(parser: argparse.ArgumentParser):
 
 def _cmd_run(args) -> int:
     file_cfg = _parse_config_file(args.config) if args.config else {}
-    cfg = _build_pipeline_config(args, file_cfg)
+    cfg = _checked(PipelineConfig, **_run_params(args, file_cfg))
     result = run_parity_swap(cfg)
     for key, value in result.to_record().items():
         print(f"{key}={format_number(value)}")
@@ -163,21 +171,9 @@ def _cmd_sweep(args) -> int:
     out = _merged(args, file_cfg, "out")
     if out is None:
         raise ConfigError("sweep needs --out PATH")
-    try:
-        spec = SweepSpec(
-            figure=figure,
-            alphas=alphas,
-            parity=_merged(args, file_cfg, "parity", "even"),
-            t2=float(_merged(args, file_cfg, "t2", np.sqrt(0.95))),
-            eta1=float(_merged(args, file_cfg, "eta1", 1.0)),
-            eta2=float(_merged(args, file_cfg, "eta2", 1.0)),
-            t1=float(_merged(args, file_cfg, "t1", np.sqrt(0.5))),
-            squeezing=_squeezing_value(_merged(args, file_cfg, "squeezing", "auto")),
-            engine=_merged(args, file_cfg, "engine", "chi"),
-            truncation=_merged(args, file_cfg, "truncation", None),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    params = _run_params(args, file_cfg)
+    params.pop("alpha", None)  # the grid sets the sizes
+    spec = _checked(SweepSpec, figure=figure, alphas=alphas, **params)
     with _open_for_write(out) as handle:
         sweeps.write_sweep(spec, handle)
     print(f"wrote {out}")
@@ -186,7 +182,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_wigner(args) -> int:
     file_cfg = _parse_config_file(args.config) if args.config else {}
-    cfg = _build_pipeline_config(args, file_cfg)
+    cfg = _checked(PipelineConfig, **_run_params(args, file_cfg))
     grid_text = _merged(args, file_cfg, "grid", "-6:6:0.05")
     axis = _parse_grid(grid_text)
     if axis.size < 2:

@@ -253,15 +253,13 @@ def displacement_operator(xi: complex, dim: int, pad: int = OPERATOR_PAD) -> np.
     return expm(xi * a.conj().T - np.conj(xi) * a)[:dim, :dim]
 
 
-def ladder(state: FockVector, which: str):
+def ladder(state: FockVector):
     """Apply the bare annihilation operator; returns (unnormalized vector, norm).
 
-    ``which`` must be ``"annihilate"``.  Annihilating the vacuum returns the
-    zero vector with norm 0.  The norm is what event probabilities are built
-    from, so no renormalization happens here.
+    Annihilating the vacuum returns the zero vector with norm 0.  The norm
+    is what event probabilities are built from, so no renormalization
+    happens here.
     """
-    if which != "annihilate":
-        raise ValueError("which must be 'annihilate'")
     n = np.arange(state.dim, dtype=float)
     out = np.zeros_like(state.amps)
     out[:-1] = np.sqrt(n[1:]) * state.amps[1:]

@@ -17,9 +17,13 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # most 11 calls of the curve.
 _SPECULATION_DEPTH = 4
 
+# points of the coarse bracketing scan
+_N_COARSE = 64
+
 
 class BracketError(Exception):
-    """The coarse scan failed to bracket an interior maximum."""
+    """The coarse scan failed to bracket an interior maximum, or the
+    objective returned a value that is not finite."""
 
     def __init__(self, message, scan_x=None, scan_f=None):
         super().__init__(message)
@@ -53,12 +57,12 @@ def _speculate(a, b, c, d, x, depth, tol):
     return points
 
 
-def golden_section_max(f, lo, hi, tol=1e-6, n_coarse=64, polish_h=4e-3, scan=None):
+def golden_section_max(f, lo, hi, tol=1e-6, polish_h=4e-3, scan=None):
     """Maximize a unimodal scalar function on [lo, hi].
 
-    A coarse ``n_coarse``-point scan guards against multimodality and picks
-    the starting bracket; golden-section narrows it to width ``tol``; a
-    final parabolic fit over a fixed +-``polish_h`` stencil replaces the
+    A coarse 64-point scan guards against multimodality and picks the
+    starting bracket; golden-section narrows it to width ``tol``; a final
+    parabolic fit over a fixed +-``polish_h`` stencil replaces the
     comparison-driven endpoint.  The vertex is a continuous function of the
     sampled values, so two implementations of the same smooth objective land
     on the same argmax even where the maximum is flat enough that golden
@@ -74,22 +78,34 @@ def golden_section_max(f, lo, hi, tol=1e-6, n_coarse=64, polish_h=4e-3, scan=Non
     way, so the result is bit-identical to the search with ``f`` alone, which
     is the batch size 1 case of the same loop.
 
-    Raises :class:`BracketError` (with the scan attached) when the coarse
-    maximum sits on the boundary, i.e. no interior bracket exists.
+    Raises :class:`BracketError` (with the coarse scan attached) when the
+    coarse maximum sits on the boundary, i.e. no interior bracket exists,
+    and as soon as the objective returns a value that is not finite.
     """
     if not hi > lo:
         raise ValueError("need hi > lo")
     depth = 1 if scan is None else _SPECULATION_DEPTH
+    xs = np.linspace(lo, hi, _N_COARSE)
+    fs = None  # the coarse values, once taken
+
+    def checked(points, values):
+        values = np.asarray(values, dtype=float)
+        bad = ~np.isfinite(values)
+        if bad.any():
+            raise BracketError(
+                f"objective is not finite at x = {np.asarray(points)[bad][0]:.6g}",
+                scan_x=xs,
+                scan_f=values if fs is None else fs,
+            )
+        return values
 
     def evaluate(points):
-        if scan is None:
-            return [f(x) for x in points]
-        return np.asarray(scan(np.asarray(points)), dtype=float)
+        values = [f(x) for x in points] if scan is None else scan(np.asarray(points))
+        return checked(points, values)
 
-    xs = np.linspace(lo, hi, n_coarse)
-    fs = np.asarray(evaluate(xs), dtype=float)
+    fs = evaluate(xs)
     best = int(np.argmax(fs))
-    if best == 0 or best == n_coarse - 1:
+    if best == 0 or best == _N_COARSE - 1:
         raise BracketError(
             f"coarse maximum at the boundary x = {xs[best]:.6g}; no interior bracket",
             scan_x=xs,
@@ -118,5 +134,5 @@ def golden_section_max(f, lo, hi, tol=1e-6, n_coarse=64, polish_h=4e-3, scan=Non
         if denom < 0.0:  # concave stencil: the parabola has a maximum
             vertex = xc + 0.5 * polish_h * (f0 - f2) / denom
             if lo <= vertex <= hi and abs(vertex - xc) <= 2.0 * polish_h:
-                return float(vertex), float(f(vertex))
+                return float(vertex), float(checked([vertex], [f(vertex)])[0])
     return float(x_star), float(f_star)

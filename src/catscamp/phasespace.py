@@ -474,21 +474,18 @@ class StateDiagnostics:
     hermiticity: float
     purity: float
     quad_min_eigenvalue: float
-    norm_tol: float
-    herm_tol: float
-    purity_slack: float
 
     @property
     def normalization_ok(self) -> bool:
-        return abs(self.normalization - 1.0) <= self.norm_tol
+        return abs(self.normalization - 1.0) <= 1e-10
 
     @property
     def hermiticity_ok(self) -> bool:
-        return self.hermiticity <= self.herm_tol
+        return self.hermiticity <= 1e-10
 
     @property
     def purity_ok(self) -> bool:
-        return 0.0 < self.purity <= 1.0 + self.purity_slack
+        return 0.0 < self.purity <= 1.0 + 1e-9
 
     @property
     def quad_ok(self) -> bool:
@@ -515,33 +512,23 @@ class StateDiagnostics:
         )
 
 
-def validate_state(
-    state: GaussianSumState,
-    n_probes: int = 100,
-    seed: int = 20260809,
-    norm_tol: float = 1e-10,
-    herm_tol: float = 1e-10,
-    purity_slack: float = 1e-9,
-) -> StateDiagnostics:
+def validate_state(state: GaussianSumState) -> StateDiagnostics:
     """Probe the physical-state invariants of a Gaussian sum.
 
     Checks chi(0) = 1, hermiticity chi(-xi) = chi(xi)^* at pseudo-random
     probe points, the purity bound Tr[rho^2] <= 1, and positive
-    semidefiniteness of every term's quadratic form.  Tolerances are
-    defaults and can be overridden.
+    semidefiniteness of every term's quadratic form, with 100 probes from a
+    fixed seed.
     """
-    rng = np.random.default_rng(seed)
-    probes = rng.normal(scale=1.2, size=(n_probes, 2 * state.n_modes))
+    rng = np.random.default_rng(20260809)
+    probes = rng.normal(scale=1.2, size=(100, 2 * state.n_modes))
     forward = state.chi_r(probes)
     backward = state.chi_r(-probes)
-    herm = float(np.max(np.abs(backward - np.conj(forward)))) if n_probes else 0.0
+    herm = float(np.max(np.abs(backward - np.conj(forward))))
     min_eig = float(np.min(np.linalg.eigvalsh(state.quads)[:, 0]))
     return StateDiagnostics(
         normalization=float(state.norm_value().real),
         hermiticity=herm,
         purity=purity(state),
         quad_min_eigenvalue=min_eig,
-        norm_tol=norm_tol,
-        herm_tol=herm_tol,
-        purity_slack=purity_slack,
     )

@@ -76,15 +76,19 @@ _ENGINES = ("chi", "fock", "both")
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Full parameterization of one amplifier run.
+    """Full parameterization of one amplifier run, and the one home of every
+    run parameter's default and domain.
 
     ``squeezing`` is either a float or ``"auto"`` for the overlap-optimal
-    value; the stage-1 splitter defaults to 50:50 and the stage-2 splitter
-    to t2 = sqrt(0.95).  ``truncation`` pins the number-basis dimension of
-    the fock engine (``None`` selects the smallest adequate ladder rung).
+    value; either way the resolved value must satisfy |s| <= 2.  The
+    stage-1 splitter defaults to 50:50 and the stage-2 splitter to
+    t2 = sqrt(0.95).  ``truncation`` pins the number-basis dimension of the
+    fock engine (``None`` selects the smallest adequate ladder rung).
+    Every value is checked here, so an out-of-domain one raises
+    ``ValueError`` before anything runs.
     """
 
-    alpha: float
+    alpha: float = 1.0
     parity: str = EVEN
     squeezing: float | str = "auto"
     t1: float = HALF
@@ -97,13 +101,14 @@ class PipelineConfig:
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        if isinstance(self.squeezing, str) and self.squeezing != "auto":
+            raise ValueError("squeezing must be a number or 'auto'")
+        s = self.squeezing_value()
+        if not abs(s) <= fock.SQUEEZE_MAX:  # also rejects nan
+            got = (f"auto gives s = {s:g} at alpha = {self.alpha:g}"
+                   if self.squeezing == "auto" else f"got {s:g}")
+            raise ValueError(f"squeezing must satisfy |s| <= {fock.SQUEEZE_MAX:g}, {got}")
         states.CatSpec(self.alpha, self.parity)  # also rejects a cat whose N^2 overflows
-        if isinstance(self.squeezing, str):
-            if self.squeezing != "auto":
-                raise ValueError("squeezing must be a number or 'auto'")
-        elif not abs(self.squeezing) <= fock.SQUEEZE_MAX:  # also rejects nan
-            raise ValueError(f"squeezing must satisfy |s| <= {fock.SQUEEZE_MAX:g}, "
-                             f"got {self.squeezing}")
         for name in ("t1", "t2"):
             val = getattr(self, name)
             if not 0.0 < val < 1.0:
@@ -286,7 +291,7 @@ def _beta_bracket(alpha: float):
     return max(0.5 * alpha, 1e-3), 3.0 * alpha + 0.5
 
 
-def _optimize_beta(curve, alpha: float, tol: float = 1e-6):
+def _optimize_beta(curve, alpha: float):
     """Search the target size on [max(alpha/2, guard), 3 alpha + 1/2].
 
     ``curve`` evaluates the fidelity on an array of beta: the coarse scan is
@@ -295,15 +300,19 @@ def _optimize_beta(curve, alpha: float, tol: float = 1e-6):
     For degenerate inputs the fidelity keeps rising toward beta = 0 (the
     target degenerates to a single photon); the guard-constrained maximum
     is returned in that case.  A maximum at the upper edge is a genuine
-    bracketing failure and propagates with the coarse scan attached.
+    bracketing failure, and so is a fidelity that is not finite (the chi
+    trace rule's exponential overflows at large sizes, so numpy's warning
+    is muted): both propagate with the coarse scan attached.  The search
+    narrows beta* to the default width 1e-6 of :func:`golden_section_max`.
     """
     fid = lambda b: float(curve(b)[0])
     lo, hi = _beta_bracket(alpha)
     try:
-        return golden_section_max(fid, lo, hi, tol=tol, scan=curve)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return golden_section_max(fid, lo, hi, scan=curve)
     except BracketError as exc:
-        if int(np.argmax(exc.scan_f)) == 0:
-            return float(lo), float(fid(lo))
+        if np.isfinite(exc.scan_f).all() and int(np.argmax(exc.scan_f)) == 0:
+            return float(lo), float(exc.scan_f[0])
         raise
 
 
@@ -467,7 +476,6 @@ class IdealGainRow:
     alpha_prime: float
     beta_star: float
     overlap_star: float
-    pipeline_gain: float | None = None
 
     @property
     def gain_amp(self) -> float:
@@ -478,14 +486,12 @@ class IdealGainRow:
         return self.gain_amp**2
 
 
-def ideal_gain_curve(alphas, r1: float = HALF, compare_t2: float | None = None):
+def ideal_gain_curve(alphas, r1: float = HALF):
     """Gain of exact photon subtraction from the squeezed comparison output.
 
     For each input size: optimal squeezing, the comparison-channel
     parameters (s', alpha'), then the target size maximizing the fidelity
-    of a|subtracted squeezed even cat(alpha', s')> with an odd cat.  With
-    ``compare_t2`` the full pipeline (eta = 1) runs side by side and its
-    gain lands in ``pipeline_gain``.
+    of a|subtracted squeezed even cat(alpha', s')> with an odd cat.
     """
     rows = []
     for alpha in np.atleast_1d(np.asarray(alphas, dtype=float)):
@@ -494,18 +500,8 @@ def ideal_gain_curve(alphas, r1: float = HALF, compare_t2: float | None = None):
         fid = lambda b: states.subtracted_squeezed_cat_overlap(
             chan.alpha_prime, EVEN, chan.s_prime, b
         )
-        beta, fstar = golden_section_max(fid, *_beta_bracket(alpha), tol=1e-6)
-        pipeline_gain = None
-        if compare_t2 is not None:
-            res = run_parity_swap(
-                PipelineConfig(alpha=alpha, parity=EVEN, t1=math.sqrt(1 - r1 * r1),
-                               t2=compare_t2, engine="chi")
-            )
-            pipeline_gain = res.gain_amp
-        rows.append(
-            IdealGainRow(float(alpha), s, chan.s_prime, chan.alpha_prime,
-                         beta, fstar, pipeline_gain)
-        )
+        beta, fstar = golden_section_max(fid, *_beta_bracket(alpha))
+        rows.append(IdealGainRow(float(alpha), s, chan.s_prime, chan.alpha_prime, beta, fstar))
     return rows
 
 

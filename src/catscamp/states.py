@@ -119,8 +119,9 @@ def _cat_sizes(alphas, parity: str):
 
     Returns the sizes as a list of floats and N_pm^2 of each, taken one size
     at a time by ``math``.  Raises ``TypeError`` for complex sizes and
-    ``ValueError`` for a negative size, an odd cat of size 0, or a size
-    whose N_pm^2 is not finite (an odd cat so small that alpha^2 underflows).
+    ``ValueError`` for a negative size, an odd cat of size 0, a size whose
+    square overflows, or a size whose N_pm^2 is not finite (an odd cat so
+    small that alpha^2 underflows).
     """
     a = np.atleast_1d(alphas)
     if np.iscomplexobj(a):
@@ -130,6 +131,9 @@ def _cat_sizes(alphas, parity: str):
         raise ValueError("odd cat requires alpha > 0 (norm diverges at 0)")
     if any(x < 0.0 for x in sizes):
         raise ValueError("alpha must be nonnegative")
+    big = next((x for x in sizes if not math.isfinite(x * x)), None)
+    if big is not None:
+        raise ValueError(f"alpha^2 must be finite, got alpha = {big:g}")
     norm2 = [_norm_squared(x, parity) for x in sizes]
     if not all(map(math.isfinite, norm2)):
         x = next(x for x, n2 in zip(sizes, norm2) if not math.isfinite(n2))
@@ -459,7 +463,7 @@ def subtracted_squeezed_cat_overlap(
     if dim is None:
         dim, _ = fock.pick_dim(_squeezed_vacuum_and_cats(max(abs(alpha), abs(beta)), s))
     squeezed = fock.squeeze_fock(cat_fock(alpha, parity, dim), s, check_tail=False)
-    subtracted, norm = fock.ladder(squeezed, "annihilate")
+    subtracted, norm = fock.ladder(squeezed)
     if norm == 0.0:
         raise ValueError("photon subtraction annihilated the state")
     target = cat_fock(beta, opposite_parity(parity), dim)

@@ -11,13 +11,13 @@ caught, so programming errors still propagate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .fock import TruncationError
 from .optimize import BracketError
-from .pipeline import HALF, T2_95, PipelineConfig, ideal_gain_curve, run_parity_swap
+from .pipeline import PipelineConfig, ideal_gain_curve, run_parity_swap
 from .phasespace import PhaseSpaceError, overlap
 from .states import EVEN, cat_chi, optimal_squeezing, squeezed_vacuum_chi
 
@@ -67,7 +67,8 @@ FIGURE_COLUMNS = {
 
 
 def normalize_figure(figure: str, parity: str | None = None):
-    """Resolve a figure id or alias to (canonical id, parity)."""
+    """Resolve a figure id or alias to (canonical id, parity); the parity a
+    figure id implies wins, then the one given, then the run default."""
     key = figure.strip().lower()
     if key not in FIGURE_ALIASES:
         raise ValueError(
@@ -76,27 +77,27 @@ def normalize_figure(figure: str, parity: str | None = None):
             f"or aliases 3a/3b/4a/4b/5a/5b/6a/6b/9"
         )
     canonical, implied_parity = FIGURE_ALIASES[key]
-    return canonical, (implied_parity or parity or EVEN)
+    return canonical, (implied_parity or parity or PipelineConfig.parity)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SweepSpec:
-    """One figure sweep: id, input-size grid, and parameter overrides."""
+    """One figure sweep: id, input-size grid, and the run parameters.
+
+    The keywords after ``alphas`` are :class:`PipelineConfig`'s run
+    parameters (``parity``, ``squeezing``, ``t1``, ``t2``, ``eta1``,
+    ``eta2``, ``engine``, ``truncation``); those not given keep its
+    defaults.  The config is built, and so checked, once here at alpha = 1,
+    and every pipeline row replaces only alpha.
+    """
 
     figure: str
     alphas: np.ndarray
-    parity: str = EVEN
-    t2: float = T2_95
-    eta1: float = 1.0
-    eta2: float = 1.0
-    t1: float = HALF
-    squeezing: float | str = "auto"
-    engine: str = "chi"
-    truncation: int | None = None
+    config: PipelineConfig
 
-    def __post_init__(self):
-        figure, parity = normalize_figure(self.figure, self.parity)
-        alphas = np.atleast_1d(np.asarray(self.alphas, dtype=float))
+    def __init__(self, figure: str, alphas, parity: str | None = None, **params):
+        figure, parity = normalize_figure(figure, parity)
+        alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
         if alphas.size == 0:
             raise ValueError("sweep grid is empty")
         if alphas.size > 1 and not np.all(np.diff(alphas) > 0):
@@ -104,19 +105,12 @@ class SweepSpec:
         frozen = alphas.copy()
         frozen.setflags(write=False)
         object.__setattr__(self, "figure", figure)
-        object.__setattr__(self, "parity", parity)
         object.__setattr__(self, "alphas", frozen)
+        object.__setattr__(self, "config", PipelineConfig(parity=parity, **params))
 
     @property
     def columns(self):
         return FIGURE_COLUMNS[self.figure]
-
-    def pipeline_config(self, alpha: float) -> PipelineConfig:
-        return PipelineConfig(
-            alpha=float(alpha), parity=self.parity, squeezing=self.squeezing,
-            t1=self.t1, t2=self.t2, eta1=self.eta1, eta2=self.eta2,
-            engine=self.engine, truncation=self.truncation,
-        )
 
 
 def format_number(value) -> str:
@@ -141,14 +135,15 @@ def _squeeze_fidelity_row(spec: SweepSpec, alpha: float):
 
 
 def _pipeline_row(spec: SweepSpec, alpha: float):
+    cfg = replace(spec.config, alpha=alpha)
     # the probability figure writes no beta* or F*, so it skips the search
-    res = run_parity_swap(spec.pipeline_config(alpha), optimize=spec.figure != "probability")
+    res = run_parity_swap(cfg, optimize=spec.figure != "probability")
     return {
         "alpha": alpha,
-        "parity": spec.parity,
-        "t2": spec.t2,
-        "eta1": spec.eta1,
-        "eta2": spec.eta2,
+        "parity": cfg.parity,
+        "t2": cfg.t2,
+        "eta1": cfg.eta1,
+        "eta2": cfg.eta2,
         "beta_star": res.beta_star,
         "gain_amp": res.gain_amp,
         "gain_intensity": res.gain_intensity,
@@ -161,7 +156,7 @@ def _pipeline_row(spec: SweepSpec, alpha: float):
 
 
 def _ideal_gain_row(spec: SweepSpec, alpha: float):
-    row = ideal_gain_curve([alpha], r1=np.sqrt(1.0 - spec.t1**2))[0]
+    row = ideal_gain_curve([alpha], r1=spec.config.r1)[0]
     return {
         "alpha": alpha,
         "s_opt": row.s_opt,

@@ -10,6 +10,7 @@ import pytest
 
 from catscamp import audit, sweeps
 from catscamp.cli import main
+from catscamp.pipeline import PipelineConfig
 from catscamp.sweeps import FIGURE_COLUMNS, SweepSpec, normalize_figure
 
 
@@ -76,6 +77,11 @@ class TestRun:
             (("--t1", "1.0"), "t1"),
             (("--alpha", "1e-200", "--parity", "odd"), "alpha"),
             (("--alpha", "1e-160", "--parity", "odd", "--engine", "fock"), "alpha"),
+            (("--alpha", "4", "--engine", "fock"), "squeezing"),
+            (("--alpha", "7"), "squeezing"),
+            (("--alpha", "1e200", "--squeezing", "0"), "alpha"),
+            (("--engine", "bogus"), "engine"),
+            (("--parity", "bogus"), "parity"),
         ],
     )
     def test_out_of_domain_value_exits_2_with_one_line(self, capsys, argv, field):
@@ -84,6 +90,13 @@ class TestRun:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert field in err
+
+    def test_non_finite_fidelity_exits_1_with_one_line(self, capsys):
+        code, out, err = run_cli(capsys, "run", "--alpha", "6.5", "--squeezing", "-2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not finite" in err
 
     def test_config_file_precedence(self, capsys, tmp_path):
         cfg = tmp_path / "amp.cfg"
@@ -167,6 +180,42 @@ class TestSweep:
         assert "finite" in err
         assert out == ""
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flags,config,field", [
+        (("--t2", "1.5"), "", "t2"),
+        (("--eta1", "1.3"), "", "eta1"),
+        (("--figure", "squeezing", "--truncation", "3"), "", "truncation"),
+        ((), "parity = bogus\n", "parity"),
+        ((), "engine = bogus\n", "engine"),
+    ])
+    def test_out_of_domain_parameter_exits_2_before_writing(
+            self, capsys, tmp_path, flags, config, field):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("figure = gain\ngrid = 0.5:1:0.5\n" + config)
+        out_path = tmp_path / "x.csv"
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg), *flags,
+                                 "--out", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert field in err
+        assert not out_path.exists()
+
+    def test_non_finite_fidelity_is_an_error_cell(self):
+        _, rows = sweeps.sweep_rows(
+            SweepSpec(figure="gain", alphas=np.array([1.0, 6.5]), squeezing=-2.0))
+        assert rows[0][-1] == ""
+        assert rows[1][0] == "6.5" and rows[1][1:-1] == ("",) * (len(rows[1]) - 2)
+        assert "not finite" in rows[1][-1]
+
+    def test_spec_takes_the_benchmark_keywords(self):
+        spec = SweepSpec(figure="fidelity", alphas=np.array([0.2, 0.3]), parity="odd",
+                         t2=math.sqrt(0.99), eta1=0.8, eta2=0.8, engine="chi")
+        assert spec.config == PipelineConfig(parity="odd", t2=math.sqrt(0.99), eta1=0.8,
+                                             eta2=0.8, engine="chi")
+
+    def test_spec_without_parameters_carries_the_config_defaults(self):
+        assert SweepSpec(figure="gain", alphas=[1.0]).config == PipelineConfig()
 
     def test_missing_figure_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(

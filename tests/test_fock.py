@@ -266,14 +266,14 @@ class TestSqueeze:
 class TestLadder:
     def test_annihilation_swaps_cat_parity(self):
         even = cat_fock(1.0, "even", 50)
-        lowered, norm = ladder(even, "annihilate")
+        lowered, norm = ladder(even)
         odd = cat_fock(1.0, "odd", 50)
         assert norm > 0
         fid = np.abs(np.vdot(odd.amps, lowered.amps / norm)) ** 2
         assert fid == pytest.approx(1.0, abs=1e-12)
 
     def test_annihilating_vacuum_gives_zero(self):
-        out, norm = ladder(vacuum_vector(10), "annihilate")
+        out, norm = ladder(vacuum_vector(10))
         assert norm == 0.0
         assert np.all(out.amps == 0)
 
@@ -282,8 +282,8 @@ class TestLadder:
         s = -0.7218177375894052
         dim = 80
         cat = cat_fock(1.0, "even", dim)
-        lhs, norm = ladder(squeeze_fock(cat, s, check_tail=False), "annihilate")
-        low, _ = ladder(cat, "annihilate")
+        lhs, norm = ladder(squeeze_fock(cat, s, check_tail=False))
+        low, _ = ladder(cat)
         high = np.zeros_like(cat.amps)  # a^dag |cat>
         high[1:] = np.sqrt(np.arange(1, dim)) * cat.amps[:-1]
         rhs = squeeze_fock(

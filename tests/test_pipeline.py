@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import catscamp
 from catscamp.optimize import BracketError, golden_section_max
-from catscamp.phasespace import GaussianSumState, NonIntegrableError, overlap
+from catscamp.phasespace import GaussianSumState, NonIntegrableError, PhaseSpaceError, overlap
 from catscamp.pipeline import (
     T2_95,
     T2_99,
@@ -85,6 +85,18 @@ class TestGoldenSection:
         assert np.array_equal(batched.value.scan_f, per_point.value.scan_f)
         assert np.array_equal(batched.value.scan_f, np.linspace(0.0, 1.0, 64))
 
+    @pytest.mark.parametrize("bad", [lambda x: x > 0.9, lambda x: abs(x - 0.37) < 1e-4])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_non_finite_objective_raises_with_scan(self, bad, batched):
+        # not finite on the coarse scan, or only near the peak the golden
+        # steps close in on
+        f = lambda x: math.nan if bad(x) else 1.0 - (x - 0.37) ** 2
+        with pytest.raises(BracketError, match="not finite") as info:
+            golden_section_max(f, 0.0, 1.0, scan=np.vectorize(f) if batched else None)
+        assert np.array_equal(info.value.scan_x, np.linspace(0.0, 1.0, 64))
+        assert np.array_equal(info.value.scan_f, [f(x) for x in info.value.scan_x],
+                              equal_nan=True)
+
     @given(
         shape=st.sampled_from(UNIMODAL),
         lo=st.floats(-5.0, 5.0),
@@ -133,9 +145,10 @@ class TestGoldenSection:
         assert np.array_equal(batched.value.scan_f, per_point.value.scan_f)
         assert int(np.argmax(per_point.value.scan_f)) == (0 if edge < 0 else 63)
 
-    @pytest.mark.parametrize("alpha, parity", [(0.3, "even"), (1.2, "odd"), (6.0, "even")])
-    def test_chi_search_makes_at_most_11_curve_calls(self, alpha, parity):
-        cfg = PipelineConfig(alpha=alpha, parity=parity)
+    @pytest.mark.parametrize("alpha, parity, squeezing",
+                             [(0.3, "even", "auto"), (1.2, "odd", "auto"), (6.0, "even", -2.0)])
+    def test_chi_search_makes_at_most_11_curve_calls(self, alpha, parity, squeezing):
+        cfg = PipelineConfig(alpha=alpha, parity=parity, squeezing=squeezing)
         out = run_parity_swap(cfg, optimize=False).output_chi
         curve = _chi_fidelity_curve(out, cfg.target_parity)
         rows = []
@@ -147,6 +160,12 @@ class TestGoldenSection:
         curve = lambda bs: 1.0 - np.atleast_1d(bs)  # keeps rising toward beta = 0
         lo, _ = _beta_bracket(0.8)
         assert _optimize_beta(curve, 0.8) == (lo, 1.0 - lo)
+
+    def test_lower_guard_fallback_never_returns_non_finite(self):
+        lo, _ = _beta_bracket(0.8)
+        curve = lambda bs: np.where(np.atleast_1d(bs) == lo, math.nan, 1.0 - np.atleast_1d(bs))
+        with pytest.raises(BracketError, match="not finite"):
+            _optimize_beta(curve, 0.8)
 
     @pytest.mark.parametrize("parity, eta", [("even", 1.0), ("odd", 0.8)])
     def test_chi_search_equals_per_point_overlap_search(self, parity, eta):
@@ -226,6 +245,10 @@ class TestConfig:
             (dict(alpha=math.nan), "alpha"),
             (dict(alpha=math.inf), "alpha"),
             (dict(alpha=1.0, squeezing=3.0), "squeezing"),
+            (dict(alpha=6.0), "squeezing"),  # auto squeezing is checked too
+            (dict(alpha=4.0, engine="fock"), "squeezing"),
+            (dict(alpha=1e200, squeezing=0.0), "alpha"),
+            (dict(alpha=1.0, parity="bogus"), "parity"),
             (dict(alpha=1.0, squeezing=math.nan), "squeezing"),
             (dict(alpha=1.0, t1=1.0), "t1"),
             (dict(alpha=1.0, t2=math.nan), "t2"),
@@ -323,6 +346,27 @@ class TestParitySwap:
         assert fidelity_vs_ideal(res, res.beta_star + 0.3) < at_star
 
 
+@given(
+    alpha=st.floats(0.0, 10.0, exclude_min=True),
+    squeezing=st.one_of(st.just("auto"), st.floats(-2.5, 2.5)),
+    parity=st.sampled_from(["even", "odd"]),
+)
+def test_every_run_is_rejected_fails_as_an_engine_error_or_is_physical(
+        alpha, squeezing, parity):
+    try:
+        cfg = PipelineConfig(alpha=alpha, parity=parity, squeezing=squeezing, engine="chi")
+    except ValueError:
+        return
+    try:
+        res = run_parity_swap(cfg)
+    except (PhaseSpaceError, fock.TruncationError, BracketError):
+        return
+    assert 0.0 < res.p_noclick_stage1 <= 1.0
+    assert 0.0 < res.p_click_stage2 <= 1.0
+    assert 0.0 < res.fidelity_star <= 1.0 + 1e-12
+    assert math.isfinite(res.beta_star)
+
+
 class TestCoherentBaseline:
     def test_correct_guess_keeps_detector_dark(self):
         cfg = PipelineConfig(alpha=1.0, t2=T2_99, engine="both")
@@ -374,10 +418,9 @@ class TestIdealGainCurve:
         assert row.overlap_star > 0.9
 
     def test_pipeline_comparison_differs_marginally(self):
-        rows = ideal_gain_curve([0.5, 1.0, 1.5], compare_t2=T2_99)
-        for row in rows:
-            assert row.pipeline_gain is not None
-            assert abs(row.gain_amp - row.pipeline_gain) < 0.05
+        for row in ideal_gain_curve([0.5, 1.0, 1.5]):
+            res = run_parity_swap(PipelineConfig(alpha=row.alpha, t2=T2_99, engine="chi"))
+            assert abs(row.gain_amp - res.gain_amp) < 0.05
 
 
 class TestWignerReport:
