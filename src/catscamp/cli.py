@@ -3,7 +3,8 @@
 Configuration precedence is flag > config file > default, the defaults
 being :class:`PipelineConfig`'s.  The config file is flat ``key = value``
 text with ``#`` comments; keys mirror the long flags.  Exit codes: 0
-success, 1 engine/runtime error, 2 usage or configuration error.
+success, 1 engine/runtime error, 2 usage or configuration error, and 141
+(128 + SIGPIPE), with no traceback, when the reader of stdout has gone away.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import os
 import sys
 
 import numpy as np
@@ -107,21 +109,14 @@ def _open_for_write(path: str):
 
 def _merged(args, file_cfg: dict, key: str, default=None):
     flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in file_cfg:
-        return file_cfg[key]
-    return default
+    return flag if flag is not None else file_cfg.get(key, default)
 
 
 def _run_params(args, file_cfg) -> dict:
     """The run parameters given by flag or config file, flag first; the
     ones given by neither are left to :class:`PipelineConfig`'s defaults."""
-    params = {}
-    for key in _RUN_KEYS:
-        value = _merged(args, file_cfg, key)
-        if value is not None:
-            params[key] = value
+    merged = {key: _merged(args, file_cfg, key) for key in _RUN_KEYS}
+    params = {key: value for key, value in merged.items() if value is not None}
     if "squeezing" in params:
         params["squeezing"] = _squeezing_value(params["squeezing"])
     return params
@@ -263,13 +258,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except ConfigError as exc:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # devnull takes what is left, so the interpreter's last flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except (ConfigError, PhaseSpaceError, TruncationError, BracketError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (PhaseSpaceError, TruncationError, BracketError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 if __name__ == "__main__":

@@ -1,14 +1,15 @@
 """Brute-force truncated photon-number-basis engine.
 
-Everything here is exact up to the truncation: states are dense complex
-vectors/matrices over |0>, ..., |dim-1>, single-mode unitaries are matrix
-exponentials padded and cropped, the stage-1 beamsplitter acts block by block
-on the total-photon-number sectors N < dim, each built from the one below by
-recurrence (the input weight in the sectors N >= dim is dropped, and
-:func:`pick_dim` certifies it through :meth:`TwoModeFock.tail_mass`),
-photon subtraction is the pure-loss Kraus sum on the single-mode density,
-and detector outcomes use the Kelley-Kleiner POVM diag((1-eta)^n).  This
-engine is the independent oracle for every result of
+Everything here is exact up to the truncation: states are dense vectors and
+matrices over |0>, ..., |dim-1>, float64 on the amplifier's path, whose every
+amplitude is real, and complex128 only for complex data, as the audit's;
+single-mode unitaries are matrix exponentials padded and cropped, the stage-1
+beamsplitter acts with real blocks on the total-photon-number sectors N < dim
+that hold input weight, each block built from the one below by recurrence
+(the weight in N >= dim is dropped, and :func:`pick_dim` certifies it through
+:meth:`TwoModeFock.tail_mass`), photon subtraction is the pure-loss Kraus sum
+on the single-mode density, and detector outcomes use the Kelley-Kleiner POVM
+diag((1-eta)^n).  This engine is the independent oracle for every result of
 :mod:`catscamp.phasespace`.
 """
 
@@ -62,23 +63,23 @@ class TruncationError(Exception):
     """A state does not fit the photon-number truncation in use."""
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=complex)
+def _frozen(a) -> np.ndarray:
+    a = np.array(a, dtype=complex if np.iscomplexobj(a) else float)
     a.setflags(write=False)
     return a
 
 
 @dataclass(frozen=True, eq=False)  # identity: generated == would compare arrays
 class FockVector:
-    """Pure state over number states |0>, ..., |dim-1>."""
+    """Pure state over |0>, ..., |dim-1>: float64 if real, else complex128."""
 
     amps: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amps, dtype=complex)
+        amps = _frozen(self.amps)
         if amps.ndim != 1 or amps.size < 1:
             raise ValueError("amps must be a nonempty 1-d array")
-        object.__setattr__(self, "amps", _frozen(amps))
+        object.__setattr__(self, "amps", amps)
 
     @property
     def dim(self) -> int:
@@ -101,15 +102,15 @@ class FockVector:
 
 @dataclass(frozen=True, eq=False)  # identity: generated == would compare arrays
 class FockDensity:
-    """Mixed state as a dense dim x dim matrix."""
+    """Mixed state as a dense dim x dim matrix, float64 if real."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = _frozen(self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("matrix must be square")
-        object.__setattr__(self, "matrix", _frozen(m))
+        object.__setattr__(self, "matrix", m)
 
     @property
     def dim(self) -> int:
@@ -134,15 +135,15 @@ class FockDensity:
 @dataclass(frozen=True, eq=False)  # identity: generated == would compare arrays
 class TwoModeFock:
     """Pure two-mode state over the product number basis |n1, n2>, with
-    ``amps`` of shape (d1, d2)."""
+    ``amps`` of shape (d1, d2), real or complex as given."""
 
     amps: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.amps, dtype=complex)
+        a = _frozen(self.amps)
         if a.ndim != 2:
             raise ValueError("amps must be 2-d (one axis per mode)")
-        object.__setattr__(self, "amps", _frozen(a))
+        object.__setattr__(self, "amps", a)
 
     @property
     def dims(self):
@@ -200,7 +201,7 @@ def pick_dim(build, truncation: int | None = None):
 
 
 def vacuum_vector(dim: int) -> FockVector:
-    amps = np.zeros(dim, dtype=complex)
+    amps = np.zeros(dim)
     amps[0] = 1.0
     return FockVector(amps)
 
@@ -274,8 +275,8 @@ def ladder(state: FockVector):
 @functools.lru_cache(maxsize=32)
 def _beamsplitter_blocks(t: float, r: float, dim: int):
     """``(p, block)`` per total photon number N < dim: the indices p of the
-    sector's states |p, N-p> and the mode mixer's block <p, N-p| U |j, N-j>,
-    each block built from the one before.
+    sector's states |p, N-p> and the mode mixer's real block
+    <p, N-p| U |j, N-j>, each block built from the one before.
 
     The generator theta (b^dag a - a^dag b) with theta = atan2(r, t) sends
     |alpha, beta> to |t alpha - r beta, t beta + r alpha> and conserves the
@@ -304,8 +305,7 @@ def _beamsplitter_blocks(t: float, r: float, dim: int):
         block[:, 1:] = root[1:total + 1] * (t * up_a + r * up_b)  # sqrt(p) A U|p-1, q>
         block[:, :-1] += root[total:0:-1] * (t * up_b - r * up_a)  # sqrt(q) B U|p, q-1>
         blocks.append(block / total)
-    return tuple((np.arange(total + 1), block.astype(complex))
-                 for total, block in enumerate(blocks))
+    return tuple((np.arange(total + 1), block) for total, block in enumerate(blocks))
 
 
 def beamsplitter_fock(state: TwoModeFock, t: float, r: float) -> TwoModeFock:
@@ -314,7 +314,9 @@ def beamsplitter_fock(state: TwoModeFock, t: float, r: float) -> TwoModeFock:
     Only the total-photon-number sectors N = n1 + n2 < d, which the box
     holds whole, are mixed; the input weight in the sectors N >= d
     (:meth:`TwoModeFock.tail_mass`) is dropped, so the output's squared norm
-    is the input's weight in the sectors N < d.
+    is the input's weight in the sectors N < d.  A sector the input leaves
+    empty is skipped and stays exactly zero (a cat times a squeezed vacuum
+    fills only the N of the cat's parity); real input gives real output.
     """
     if abs(t * t + r * r - 1.0) > 1e-12:
         raise ValueError(f"(t, r) = ({t}, {r}) is not unitary: t^2 + r^2 != 1")
@@ -323,7 +325,9 @@ def beamsplitter_fock(state: TwoModeFock, t: float, r: float) -> TwoModeFock:
         raise ValueError("beamsplitter requires equal mode dimensions")
     out = np.zeros_like(state.amps)
     for total, (p, block) in enumerate(_beamsplitter_blocks(float(t), float(r), d1)):
-        out[p, total - p] = block @ state.amps[p, total - p]
+        vec = state.amps[p, total - p]
+        if vec.any():
+            out[p, total - p] = block @ vec
     return TwoModeFock(out)
 
 
@@ -381,7 +385,7 @@ def subtract_fock(rho: FockDensity, t: float, r: float, eta: float):
     click = 1.0 - noclick_weights(eta, dim)
     # amp[k, n] = sqrt(1 - (1-eta)^k) <n-k| K_k |n>
     amp = np.sqrt(comb * click[:, None]) * t ** np.maximum(n - n[:, None], 0) * r ** n[:, None]
-    out = np.zeros((dim, dim), dtype=complex)
+    out = np.zeros_like(rho.matrix)
     for k in range(1, dim):
         out[:dim - k, :dim - k] += np.outer(amp[k, k:], amp[k, k:]) * rho.matrix[k:, k:]
     prob = float(np.trace(out).real)
@@ -398,10 +402,8 @@ def fidelity_fock(pure, rho) -> float:
     if isinstance(rho, FockVector):
         d = min(psi.size, rho.amps.size)
         return float(np.abs(np.vdot(psi[:d], rho.amps[:d])) ** 2)
-    mat = rho.matrix
-    d = min(psi.size, mat.shape[0])
-    val = np.vdot(psi[:d], mat[:d, :d] @ psi[:d])
-    return float(val.real)
+    d = min(psi.size, rho.dim)
+    return float(np.vdot(psi[:d], rho.matrix[:d, :d] @ psi[:d]).real)
 
 
 def chi_from_fock(state, xi) -> complex:
@@ -419,13 +421,11 @@ def chi_from_fock(state, xi) -> complex:
         disp2 = displacement_operator(complex(xi2), d2)
         moved = disp1 @ state.amps @ disp2.T
         return complex(np.vdot(state.amps, moved))
-    if isinstance(state, FockVector):
+    if isinstance(state, (FockVector, FockDensity)):
         _truncation_probe_warning(abs(xi), state.dim)
         disp = displacement_operator(complex(xi), state.dim)
-        return complex(np.vdot(state.amps, disp @ state.amps))
-    if isinstance(state, FockDensity):
-        _truncation_probe_warning(abs(xi), state.dim)
-        disp = displacement_operator(complex(xi), state.dim)
+        if isinstance(state, FockVector):
+            return complex(np.vdot(state.amps, disp @ state.amps))
         return complex(np.trace(state.matrix @ disp))
     raise TypeError(f"unsupported state type {type(state)!r}")
 

@@ -272,7 +272,7 @@ def squeeze_chi(state: GaussianSumState, s: float) -> GaussianSumState:
 def coherent_fock(alpha: float, dim: int = fock.DEFAULT_DIM) -> FockVector:
     """amps[n] = exp(-alpha^2/2) alpha^n / sqrt(n!), stable in log space."""
     alpha = _real_scalar(alpha, "alpha")
-    amps = np.zeros(dim, dtype=complex)
+    amps = np.zeros(dim)
     amps[0] = math.exp(-0.5 * alpha * alpha)
     if alpha != 0.0:
         n = np.arange(1, dim, dtype=float)
@@ -325,7 +325,7 @@ def cat_fock_stack(alphas, parity: str, dim: int = fock.DEFAULT_DIM) -> np.ndarr
 def cat_fock(alpha: float, parity: str, dim: int = fock.DEFAULT_DIM) -> FockVector:
     """Cat state amplitudes with exact zeros on the forbidden parity: the
     one-row case of :func:`cat_fock_stack`."""
-    amps = np.zeros(dim, dtype=complex)
+    amps = np.zeros(dim)
     amps[parity_indices(parity, dim)] = cat_fock_stack(alpha, parity, dim)[0]
     return FockVector(amps)
 
@@ -342,7 +342,7 @@ def squeezed_vacuum_fock(
     s = _real_scalar(s, "s")
     if abs(s) > fock.SQUEEZE_MAX:
         raise ValueError(f"|s| <= {fock.SQUEEZE_MAX:g} is the supported squeezing range")
-    amps = np.zeros(dim, dtype=complex)
+    amps = np.zeros(dim)
     amps[0] = 1.0
     half_tanh = -0.5 * math.tanh(s)
     if half_tanh != 0.0:

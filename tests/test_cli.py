@@ -3,7 +3,11 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from catscamp.sweeps import FIGURE_COLUMNS, SweepSpec, normalize_figure
 
 
 T2_95_TEXT = "0.974679434481"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -97,6 +102,27 @@ class TestRun:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "not finite" in err
+
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    def test_closed_stdout_exits_141_without_a_traceback(self, unbuffered):
+        # the reader of the pipe is gone before the child writes a line; a
+        # buffered stdout meets the closed pipe only when it is flushed
+        env = {key: value for key, value in os.environ.items()
+               if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(SRC)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "catscamp", "run", "--alpha", "1"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120, env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == ""
 
     def test_config_file_precedence(self, capsys, tmp_path):
         cfg = tmp_path / "amp.cfg"

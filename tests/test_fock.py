@@ -29,6 +29,8 @@ from catscamp.pipeline import (
     _fock_comparison,
     _fock_inputs,
     _fock_subtraction,
+    run_coherent_scamp,
+    run_parity_swap,
 )
 from catscamp.states import cat_fock, coherent_fock, squeezed_vacuum_fock
 
@@ -123,6 +125,107 @@ class TestBeamsplitterBlocks:
         assert abs(t * t + r * r - 1.0) <= 1e-12
         _, block = fock._beamsplitter_blocks.__wrapped__(t, r, 200)[-1]
         assert np.max(np.abs(block.conj().T @ block - np.eye(block.shape[0]))) <= 1e-13
+
+
+def complex_beamsplitter(amps: np.ndarray, t: float, r: float) -> np.ndarray:
+    """The splitter as the engine applied it before its real arithmetic:
+    complex copies of the blocks times complex amplitudes, on every sector
+    N < dim, kept here as the oracle of the real path and the sector skip."""
+    amps = np.asarray(amps, dtype=complex)
+    out = np.zeros_like(amps)
+    for total, (p, block) in enumerate(fock._beamsplitter_blocks(t, r, amps.shape[0])):
+        out[p, total - p] = block.astype(complex) @ amps[p, total - p]
+    return out
+
+
+def product_input(family: str, alpha: float, s: float, dim: int) -> np.ndarray:
+    """Real product amplitudes: a cat of either parity times a squeezed
+    vacuum (half the sectors empty), or a coherent pair (every sector full)."""
+    if family == "coherent":
+        first, second = coherent_fock(alpha, dim), coherent_fock(-0.7 * alpha, dim)
+    else:
+        first, second = cat_fock(alpha, family, dim), squeezed_vacuum_fock(s, dim, check_tail=False)
+    return np.outer(first.amps, second.amps)
+
+
+class TestRealArithmetic:
+    """Every amplitude of an amplifier run is real, so the Fock path holds
+    float64 arrays from the input states to rho_out."""
+
+    @staticmethod
+    def spy(monkeypatch, name, seen):
+        original = getattr(fock, name)
+
+        def recorded(state, *args):
+            result = original(state, *args)
+            seen.append((name, state, result[0] if isinstance(result, tuple) else result))
+            return result
+
+        monkeypatch.setattr(fock, name, recorded)
+
+    def assert_real_path(self, monkeypatch, run, t1):
+        seen = []
+        for name in ("beamsplitter_fock", "condition_fock", "subtract_fock"):
+            self.spy(monkeypatch, name, seen)
+        fock._beamsplitter_blocks.cache_clear()
+        result = run()
+        assert [name for name, _, _ in seen] == [
+            "beamsplitter_fock", "condition_fock", "subtract_fock"]
+        joint = seen[0][1]
+        arrays = {"joint": joint.amps, "mixed": seen[0][2].amps,
+                  "rho1": seen[1][2].matrix, "rho_out": seen[2][2].matrix}
+        for label, array in arrays.items():
+            assert array.dtype == np.float64, label
+        assert fock._beamsplitter_blocks.cache_info().currsize == 1
+        blocks = fock._beamsplitter_blocks(t1, math.sqrt(1.0 - t1 * t1), joint.dims[0])
+        assert all(block.dtype == np.float64 for _, block in blocks)
+        assert result.output_fock.matrix.dtype == np.float64
+
+    @pytest.mark.parametrize("engine", ["fock", "both"])
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_cold_parity_swap_stays_real(self, monkeypatch, engine, parity):
+        cfg = PipelineConfig(alpha=1.1, parity=parity, eta1=0.8, eta2=0.9, engine=engine)
+        self.assert_real_path(monkeypatch, lambda: run_parity_swap(cfg), cfg.t1)
+
+    def test_cold_coherent_baseline_stays_real(self, monkeypatch):
+        cfg = PipelineConfig(t1=math.sqrt(0.6), engine="fock")
+        self.assert_real_path(monkeypatch, lambda: run_coherent_scamp(0.8, +1, cfg), cfg.t1)
+
+    def test_dim_200_cache_entry_at_most_21_mib(self):
+        # the complex copies the cache held before took 41.0 MiB here
+        blocks = fock._beamsplitter_blocks.__wrapped__(HALF, HALF, 200)
+        assert sum(block.nbytes for _, block in blocks) <= 21 * 2**20
+
+    @given(
+        family=st.sampled_from(["even", "odd", "coherent"]),
+        alpha=st.floats(0.2, 1.5),
+        s=st.floats(-1.0, 1.0),
+        theta=st.floats(-1.5, 1.5),
+        dim=st.integers(8, 60),
+    )
+    def test_real_path_equals_complex_computation(self, family, alpha, s, theta, dim):
+        amps = product_input(family, alpha, s, dim)
+        t, r = math.cos(theta), math.sin(theta)
+        out = beamsplitter_fock(TwoModeFock(amps), t, r)
+        assert out.amps.dtype == np.float64
+        assert np.max(np.abs(out.amps - complex_beamsplitter(amps, t, r))) <= 1e-15
+        # complex input is still taken, and stays complex
+        phase = np.exp(1j * theta)
+        out_c = beamsplitter_fock(TwoModeFock(phase * amps), t, r)
+        assert out_c.amps.dtype == np.complex128
+        assert np.max(np.abs(out_c.amps - complex_beamsplitter(phase * amps, t, r))) <= 1e-15
+
+    @pytest.mark.parametrize("family", ["even", "odd"])
+    def test_sectors_without_input_weight_are_exactly_zero(self, family):
+        dim = 40
+        amps = product_input(family, 1.2, -0.6, dim)
+        # the cat times a squeezed vacuum fills only the sectors N of its parity
+        total = np.add.outer(np.arange(dim), np.arange(dim))
+        empty = total % 2 != (family == "odd")
+        assert not amps[empty].any() and amps[~empty].any()
+        out = beamsplitter_fock(TwoModeFock(amps), HALF, HALF)
+        assert np.all(out.amps[empty] == 0.0)
+        assert out.amps[(total < dim) & ~empty].any()
 
 
 def ensemble_subtraction(rho1: FockDensity, cfg: PipelineConfig):
