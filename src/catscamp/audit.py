@@ -51,6 +51,7 @@ from .states import (
     optimal_squeezing,
     squeeze_chi,
     squeezed_coherent_chi,
+    squeezed_coherent_fock,
     squeezed_vacuum_chi,
     squeezed_vacuum_fock,
     subtracted_cat_overlap_reference,
@@ -196,12 +197,11 @@ def _trace_rule_consistency(seed=7) -> AuditCheck:
 
     Cat-against-squeezed pairs run at the base truncation 40 (the cat caps
     the support).  Pairs of heavily squeezed states converge slowly in the
-    number basis, so those run at the truncation the tail rule selects;
-    opposite-squeezed pairs at |s| = 1.5 still disagree at the 1e-3 level
-    at dim 40, which is a property of the truncation, not of either engine.
+    number basis, so those run at the first truncation that holds both
+    states compared; opposite-squeezed pairs at |s| = 1.5 still disagree at
+    the 1e-3 level at dim 40, which is a property of the truncation, not of
+    either engine.
     """
-    from .states import _squeezed_vacuum_and_cats, squeezed_coherent_fock
-
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(12):
@@ -217,12 +217,11 @@ def _trace_rule_consistency(seed=7) -> AuditCheck:
         s1 = rng.uniform(-TRACE_RULE_SQUEEZE_MAX, TRACE_RULE_SQUEEZE_MAX)
         s2 = rng.uniform(-TRACE_RULE_SQUEEZE_MAX, TRACE_RULE_SQUEEZE_MAX)
         alpha = rng.uniform(0.0, 1.2)
-        dim, _ = fock.pick_dim(
-            _squeezed_vacuum_and_cats(max(alpha, 0.5), max(abs(s1), abs(s2)))
-        )
+        _, (a, b) = fock.pick_dim(lambda d: (
+            squeezed_coherent_fock(s1, alpha, d, check_tail=False),
+            squeezed_vacuum_fock(s2, d, check_tail=False),
+        ))
         val_chi = overlap(squeezed_coherent_chi(s1, alpha), squeezed_vacuum_chi(s2))
-        a = squeezed_coherent_fock(s1, alpha, dim, check_tail=False)
-        b = squeezed_vacuum_fock(s2, dim, check_tail=False)
         val_fock = float(np.abs(np.vdot(a.amps, b.amps)) ** 2)
         worst = max(worst, abs(val_chi - val_fock))
     return _check("trace-rule-consistency", "cross-engine", worst < 1e-8,

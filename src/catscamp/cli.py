@@ -40,6 +40,9 @@ CONFIG_KEYS = {
     "out": str,
 }
 
+# the most values (sweep rows, Wigner map cells) one grid may ask for
+MAX_GRID_VALUES = 10**6
+
 # the keys that are PipelineConfig's fields: its defaults and checks apply
 _RUN_KEYS = tuple(f.name for f in dataclasses.fields(PipelineConfig))
 
@@ -72,8 +75,10 @@ def _parse_config_file(path: str) -> dict:
     return values
 
 
-def _parse_grid(text: str):
-    """MIN:MAX:STEP -> inclusive ascending grid."""
+def _parse_grid(text: str, axes: int = 1):
+    """MIN:MAX:STEP -> inclusive ascending grid, counted before it is built:
+    a grid of n points spans n ** ``axes`` values (sweep rows, or the cells
+    of a square map), and more than :data:`MAX_GRID_VALUES` is a usage error."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"grid must be MIN:MAX:STEP, got {text!r}")
@@ -87,9 +92,18 @@ def _parse_grid(text: str):
         raise ConfigError(f"grid step must be positive, got {step}")
     if hi < lo:
         raise ConfigError(f"grid MAX {hi} below MIN {lo}")
-    n = int(round((hi - lo) / step))
-    grid = lo + step * np.arange(n + 1)
-    return grid[grid <= hi + 1e-12 * max(1.0, abs(hi))]
+    span = (hi - lo) / step  # inf when hi - lo overflows
+    points = span + 1.0  # a bound; counted exactly unless int() could overflow
+    if points <= MAX_GRID_VALUES + 1:
+        n = int(round(span))
+        # n + 1 points, less the last where rounding put it past MAX
+        points = n + (lo + step * n <= hi + 1e-12 * max(1.0, abs(hi)))
+    if points**axes > MAX_GRID_VALUES:
+        what = "rows" if axes == 1 else "map cells"
+        raise ConfigError(f"grid {text!r} gives {points**axes:.7g} {what}; "
+                          f"at most {MAX_GRID_VALUES:g} are allowed")
+    return lo + step * np.arange(points)
+
 
 def _squeezing_value(text):
     if text == "auto":
@@ -179,7 +193,7 @@ def _cmd_wigner(args) -> int:
     file_cfg = _parse_config_file(args.config) if args.config else {}
     cfg = _checked(PipelineConfig, **_run_params(args, file_cfg))
     grid_text = _merged(args, file_cfg, "grid", "-6:6:0.05")
-    axis = _parse_grid(grid_text)
+    axis = _parse_grid(grid_text, axes=2)
     if axis.size < 2:
         raise ConfigError("wigner grid needs at least two points")
     out = _merged(args, file_cfg, "out")

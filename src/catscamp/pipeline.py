@@ -36,6 +36,7 @@ from .phasespace import (
 )
 from .states import (
     EVEN,
+    ODD,
     cat_chi,
     cat_chi_stack,
     cat_fock,
@@ -491,16 +492,18 @@ def ideal_gain_curve(alphas, r1: float = HALF):
 
     For each input size: optimal squeezing, the comparison-channel
     parameters (s', alpha'), then the target size maximizing the fidelity
-    of a|subtracted squeezed even cat(alpha', s')> with an odd cat.
+    of a S(s')|even cat(alpha')> with an odd cat, built once per row at a
+    truncation that holds the bracket's largest target and searched as the
+    amplifier's Fock output is.
     """
     rows = []
     for alpha in np.atleast_1d(np.asarray(alphas, dtype=float)):
         s = optimal_squeezing(alpha).s
         chan = states.comparison_channel_params(alpha, s, r1)
-        fid = lambda b: states.subtracted_squeezed_cat_overlap(
-            chan.alpha_prime, EVEN, chan.s_prime, b
-        )
-        beta, fstar = golden_section_max(fid, *_beta_bracket(alpha))
+        vec = states.subtracted_squeezed_cat(chan.alpha_prime, EVEN, chan.s_prime,
+                                             _beta_bracket(alpha)[1]).amps
+        curve = _fock_fidelity_curve(FockDensity(np.outer(vec, vec)), ODD)
+        beta, fstar = _optimize_beta(curve, alpha)
         rows.append(IdealGainRow(float(alpha), s, chan.s_prime, chan.alpha_prime, beta, fstar))
     return rows
 

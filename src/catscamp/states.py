@@ -53,6 +53,7 @@ __all__ = [
     "optimal_squeezing",
     "comparison_channel_params",
     "noclick_prob_closed_form",
+    "subtracted_squeezed_cat",
     "subtracted_squeezed_cat_overlap",
     "subtracted_cat_overlap_reference",
 ]
@@ -162,18 +163,10 @@ def squeezing_db(s: float) -> float:
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Effective squeezing and amplitude after the comparison stage.
-
-    ``noclick_prob`` carries the reference closed form, which is known to
-    be unreliable (it evaluates to 1 at s = 0 for any amplitude,
-    contradicting the direct calculation); ``noclick_prob_reliable`` stays
-    False and the engines are the source of truth for probabilities.
-    """
+    """Effective squeezing and amplitude after the comparison stage."""
 
     s_prime: float
     alpha_prime: float
-    noclick_prob: float
-    noclick_prob_reliable: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -363,16 +356,6 @@ def squeezed_coherent_fock(
                              check_tail=check_tail)
 
 
-def _squeezed_vacuum_and_cats(alpha: float, s: float):
-    """``build(dim)`` for :func:`fock.pick_dim`: the squeezed vacuum and both
-    cats of size ``alpha``, so one truncation serves either parity."""
-    return lambda dim: (
-        squeezed_vacuum_fock(s, dim, check_tail=False),
-        cat_fock(alpha, EVEN, dim),
-        cat_fock(alpha, ODD, dim),
-    )
-
-
 # ---------------------------------------------------------------------------
 # closed-form scalars
 # ---------------------------------------------------------------------------
@@ -403,9 +386,8 @@ def comparison_channel_params(alpha: float, s: float, r1: float) -> ChannelParam
 
     s' = ln sqrt((cosh s + (1-r1^2) sinh s)/(cosh s - (1-r1^2) sinh s)) and
     alpha' = r1 alpha cosh s / sqrt(cosh^2 s - (1-r1^2)^2 sinh^2 s).  The
-    limits r1 -> 1 and r1 -> 0 give (0, alpha) and (s, 0).  The attached
-    no-click probability is the reference closed form with its reliability
-    flag down; use the engines for real probabilities.
+    limits r1 -> 1 and r1 -> 0 give (0, alpha) and (s, 0).  The no-click
+    probability is the engines' to give.
     """
     alpha = _real_scalar(alpha, "alpha")
     s = _real_scalar(s, "s")
@@ -415,12 +397,7 @@ def comparison_channel_params(alpha: float, s: float, r1: float) -> ChannelParam
     ch, sh = math.cosh(s), math.sinh(s)
     s_prime = 0.5 * math.log((ch + u * sh) / (ch - u * sh))
     alpha_prime = r1 * alpha * ch / math.sqrt(ch * ch - u * u * sh * sh)
-    return ChannelParams(
-        s_prime=s_prime,
-        alpha_prime=alpha_prime,
-        noclick_prob=noclick_prob_closed_form(alpha, s, r1),
-        noclick_prob_reliable=False,
-    )
+    return ChannelParams(s_prime=s_prime, alpha_prime=alpha_prime)
 
 
 def noclick_prob_closed_form(alpha: float, s: float, r1: float) -> float:
@@ -442,32 +419,39 @@ def noclick_prob_closed_form(alpha: float, s: float, r1: float) -> float:
     return prefactor * math.exp(exponent)
 
 
+def subtracted_squeezed_cat(
+    alpha: float, parity: str, s: float, beta_max: float, dim: int | None = None
+) -> FockVector:
+    """The normalized photon-subtracted squeezed cat a S(s)|cat(alpha, parity)>.
+
+    Without ``dim`` the truncation is the first ladder rung at which the
+    squeezed cat, its subtraction and the largest target, the opposite-parity
+    cat of size ``beta_max``, all pass :func:`fock.check_truncation`; raises
+    :class:`fock.TruncationError` when none does.  A pinned ``dim`` is used
+    as given.
+    """
+    def build(d):
+        squeezed = fock.squeeze_fock(cat_fock(alpha, parity, d), s, check_tail=False)
+        subtracted, _ = fock.ladder(squeezed)
+        return squeezed, subtracted, cat_fock(beta_max, opposite_parity(parity), d)
+
+    _, (_, subtracted, _) = fock.pick_dim(build, dim)
+    return subtracted.normalized()
+
+
 def subtracted_squeezed_cat_overlap(
-    alpha: float,
-    parity: str,
-    s: float,
-    beta: float,
-    dim: int | None = None,
+    alpha: float, parity: str, s: float, beta: float, dim: int | None = None
 ) -> float:
     """Fidelity of a photon-subtracted squeezed cat with an ideal cat.
 
     F = |<cat(beta, opposite parity)| a S(s) |cat(alpha, parity)>|^2 after
     normalizing the subtracted state, evaluated in the number basis (the
     authoritative route; the reference closed form lives in
-    :func:`subtracted_cat_overlap_reference` and is audited against this).
-    Without ``dim`` the truncation is the first ladder rung that holds the
-    squeezed vacuum and both cats of the larger size; raises
-    :class:`fock.TruncationError` when none does.
+    :func:`subtracted_cat_overlap_reference` and is audited against this):
+    the one-beta case of :func:`subtracted_squeezed_cat`.
     """
-    CatSpec(beta, opposite_parity(parity))  # rejects beta = 0 odd targets
-    if dim is None:
-        dim, _ = fock.pick_dim(_squeezed_vacuum_and_cats(max(abs(alpha), abs(beta)), s))
-    squeezed = fock.squeeze_fock(cat_fock(alpha, parity, dim), s, check_tail=False)
-    subtracted, norm = fock.ladder(squeezed)
-    if norm == 0.0:
-        raise ValueError("photon subtraction annihilated the state")
-    target = cat_fock(beta, opposite_parity(parity), dim)
-    return float(np.abs(np.vdot(target.amps, subtracted.amps / norm)) ** 2)
+    vec = subtracted_squeezed_cat(alpha, parity, s, beta, dim)
+    return fock.fidelity_fock(cat_fock(beta, opposite_parity(parity), vec.dim), vec)
 
 
 def subtracted_cat_overlap_reference(

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from catscamp import audit, sweeps
-from catscamp.cli import main
+from catscamp.cli import _parse_grid, main
 from catscamp.pipeline import PipelineConfig
 from catscamp.sweeps import FIGURE_COLUMNS, SweepSpec, normalize_figure
 
@@ -206,6 +206,25 @@ class TestSweep:
         assert "finite" in err
         assert out == ""
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, what", [
+        (("sweep", "--figure", "squeezing", "--grid", "0.1:1:1e-15"), "rows"),
+        (("sweep", "--figure", "squeezing", "--grid", "0:1:1e-6"), "rows"),
+        (("wigner", "--grid=-6:6:1e-15"), "map cells"),
+        (("wigner", "--grid=-5:5:0.01"), "map cells"),
+    ])
+    def test_huge_grid_exits_2_before_building_it(self, capsys, tmp_path, argv, what):
+        # counted, never allocated: 9e14 rows or 1.44e32 cells would not fit
+        code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f" {what}; at most 1e+06 are allowed" in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_grid_bound_is_inclusive(self):
+        assert _parse_grid("1:1000000:1").size == 10**6
+        assert _parse_grid("1:1000:1", axes=2).size == 1000
 
     @pytest.mark.parametrize("flags,config,field", [
         (("--t2", "1.5"), "", "t2"),

@@ -32,7 +32,7 @@ from catscamp.pipeline import (
     _fock_fidelity_curve,
     _optimize_beta,
 )
-from catscamp.states import cat_chi, cat_fock
+from catscamp.states import cat_chi, cat_fock, subtracted_squeezed_cat_overlap
 
 
 # smooth unimodal shapes with their maximum at u = 0
@@ -416,6 +416,49 @@ class TestIdealGainCurve:
         assert row.s_opt == pytest.approx(-0.5 * math.asinh(2 * 0.64), abs=1e-12)
         assert 0.0 < row.alpha_prime < 0.8
         assert row.overlap_star > 0.9
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0])
+    def test_row_matches_per_point_search_at_pinned_dim(self, alpha):
+        # the oracle: the per-point search of the scalar overlap at a pinned
+        # dim of 160.  Rows truncated on stand-ins for the squeezed cat were
+        # 8.7e-9 (alpha = 1.5) and 5.9e-6 (alpha = 2.0) off in F*
+        row = ideal_gain_curve([alpha])[0]
+        beta, fstar = golden_section_max(
+            lambda b: subtracted_squeezed_cat_overlap(
+                row.alpha_prime, "even", row.s_prime, b, dim=160),
+            *_beta_bracket(alpha))
+        assert row.overlap_star == pytest.approx(fstar, abs=1e-13)
+        assert row.beta_star == pytest.approx(beta, abs=1e-10)
+
+    @staticmethod
+    def curve_calls(monkeypatch, alpha):
+        """(dim, betas) of every fidelity-curve call one row makes."""
+        calls = []
+
+        def recording(out, parity):
+            curve = _fock_fidelity_curve(out, parity)
+
+            def recorded(betas):
+                calls.append((out.dim, np.atleast_1d(betas)))
+                return curve(betas)
+
+            return recorded
+
+        monkeypatch.setattr(pipeline, "_fock_fidelity_curve", recording)
+        ideal_gain_curve([alpha])
+        return calls
+
+    def test_search_targets_fit_the_row_truncation(self, monkeypatch):
+        calls = self.curve_calls(monkeypatch, 2.0)
+        assert calls and len({dim for dim, _ in calls}) == 1
+        for dim, betas in calls:
+            for beta in betas:
+                fock.check_truncation(cat_fock(beta, "odd", dim))
+
+    def test_row_is_one_batched_search(self, monkeypatch):
+        calls = self.curve_calls(monkeypatch, 1.0)
+        assert calls[0][1].size == optimize._N_COARSE
+        assert len(calls) <= 11
 
     def test_pipeline_comparison_differs_marginally(self):
         for row in ideal_gain_curve([0.5, 1.0, 1.5]):

@@ -29,6 +29,7 @@ from catscamp.states import (
     coherent_chi,
     coherent_fock,
     comparison_channel_params,
+    noclick_prob_closed_form,
     opposite_parity,
     optimal_squeezing,
     parity_sign,
@@ -39,6 +40,7 @@ from catscamp.states import (
     squeezed_vacuum_chi,
     squeezing_db,
     subtracted_cat_overlap_reference,
+    subtracted_squeezed_cat,
     subtracted_squeezed_cat_overlap,
     vacuum_chi,
 )
@@ -314,12 +316,12 @@ class TestChannelParams:
         assert overlap(ideal, kept) == pytest.approx(1.0, abs=1e-8)
 
     def test_noclick_closed_form_is_flagged_unreliable(self):
-        chan = comparison_channel_params(1.0, 0.0, HALF)
-        assert isinstance(chan, ChannelParams)
-        assert not chan.noclick_prob_reliable
-        # the s = 0 defect: the reference form says 1, the engine says
-        # exp(-t1^2 alpha^2) because the vacuum guess leaks into the detector
-        assert chan.noclick_prob == pytest.approx(1.0, abs=1e-12)
+        # the s = 0 defect, which the audit reports as KNOWN: the reference
+        # form says 1, the engine says exp(-t1^2 alpha^2) because the vacuum
+        # guess leaks into the detector
+        assert isinstance(comparison_channel_params(1.0, 0.0, HALF), ChannelParams)
+        closed = noclick_prob_closed_form(1.0, 0.0, HALF)
+        assert closed == pytest.approx(1.0, abs=1e-12)
         joint = substitute_beamsplitter(
             tensor(coherent_chi(1.0), vacuum_chi()), 0, 1, HALF, HALF
         )
@@ -327,7 +329,7 @@ class TestChannelParams:
 
         engine = outcome_probability(joint, 0, DetectorPOVMChi(1.0, NO_CLICK))
         assert engine == pytest.approx(math.exp(-0.5), abs=1e-10)
-        assert abs(engine - chan.noclick_prob) > 0.3
+        assert abs(engine - closed) > 0.3
 
 
 class TestSubtractedOverlap:
@@ -352,6 +354,34 @@ class TestSubtractedOverlap:
         coarse = subtracted_squeezed_cat_overlap(1.0, "even", -0.5, 1.3, dim=60)
         fine = subtracted_squeezed_cat_overlap(1.0, "even", -0.5, 1.3, dim=90)
         assert coarse == pytest.approx(fine, abs=1e-9)
+
+    def test_picked_truncation_matches_a_pinned_one(self):
+        # the oracle: the same overlap at a pinned dim of 160, far past the
+        # squeezed cat's support.  A truncation certified on stand-ins (a
+        # squeezed vacuum and bare cats) was 2.9e-9 off here
+        oracle = subtracted_squeezed_cat_overlap(0.8, "odd", -0.5, 1.1, dim=160)
+        assert subtracted_squeezed_cat_overlap(0.8, "odd", -0.5, 1.1) == pytest.approx(
+            oracle, abs=1e-13
+        )
+
+    def test_truncation_certifies_the_states_used(self):
+        vec = subtracted_squeezed_cat(1.0, "even", -0.5, 5.0)
+        assert vec.norm() == pytest.approx(1.0, abs=1e-14)
+        for state in (
+            fock.squeeze_fock(cat_fock(1.0, "even", vec.dim), -0.5),
+            vec,
+            cat_fock(5.0, "odd", vec.dim),
+        ):
+            fock.check_truncation(state)
+        # the largest target alone needs more than the subtracted state does
+        assert subtracted_squeezed_cat(1.0, "even", -0.5, 1.0).dim < vec.dim
+
+    def test_overlap_is_the_one_beta_case(self):
+        vec = subtracted_squeezed_cat(1.0, "even", -0.5, 1.3, dim=60)
+        target = cat_fock(1.3, "odd", 60).amps
+        assert subtracted_squeezed_cat_overlap(1.0, "even", -0.5, 1.3, dim=60) == (
+            float(np.abs(np.vdot(target, vec.amps)) ** 2)
+        )
 
     def test_unfit_size_raises_instead_of_truncating(self):
         # a size-14 cat overflows the whole ladder (its exact value is 1)
