@@ -2,21 +2,21 @@
 
 Everything here is exact up to the truncation: states are dense vectors and
 matrices over |0>, ..., |dim-1>, float64 on the amplifier's path, whose every
-amplitude is real, and complex128 only for complex data, as the audit's;
-single-mode unitaries are matrix exponentials padded and cropped, the stage-1
-beamsplitter acts with real blocks on the total-photon-number sectors N < dim
-that hold input weight, each block built from the one below by recurrence
-(the weight in N >= dim is dropped, and :func:`pick_dim` certifies it through
-:meth:`TwoModeFock.tail_mass`), photon subtraction is the pure-loss Kraus sum
-on the single-mode density, and detector outcomes use the Kelley-Kleiner POVM
-diag((1-eta)^n).  This engine is the independent oracle for every result of
-:mod:`catscamp.phasespace`.
+amplitude is real, and complex128 only for complex data, as the audit's; the
+squeezer and displacement are their exact matrix elements, by recurrence; the
+stage-1 beamsplitter acts with real blocks on the total-photon-number sectors
+N < dim that hold input weight, each block built from the one below by
+recurrence (the weight in N >= dim is dropped, and :func:`pick_dim` certifies
+it through :meth:`TwoModeFock.tail_mass`), photon subtraction is the
+pure-loss Kraus sum on the single-mode density, and detector outcomes use the
+Kelley-Kleiner POVM diag((1-eta)^n).  This engine is the independent oracle
+for every result of :mod:`catscamp.phasespace`.
 """
 
 from __future__ import annotations
 
 import functools
-import warnings
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +30,8 @@ __all__ = [
     "TwoModeFock",
     "check_truncation",
     "pick_dim",
-    "annihilator",
     "vacuum_vector",
+    "squeezed_vacuum_amps",
     "squeeze_operator",
     "squeeze_fock",
     "displacement_operator",
@@ -55,7 +55,6 @@ DEFAULT_DIM = 40
 DIM_LADDER = tuple(range(40, 201, 20))
 DEFAULT_TAIL_TOL = 1e-10
 TAIL_MARGIN = 5
-OPERATOR_PAD = 20
 SQUEEZE_MAX = 2.0
 
 
@@ -206,52 +205,70 @@ def vacuum_vector(dim: int) -> FockVector:
     return FockVector(amps)
 
 
-def annihilator(dim: int) -> np.ndarray:
-    """Truncated annihilation matrix, a[n-1, n] = sqrt(n)."""
-    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
-
-
-def expm(a: np.ndarray) -> np.ndarray:
-    """scipy's matrix exponential, imported on first use: importing scipy.linalg
-    takes about 28 MiB, and an amplifier run, in either engine, never needs
-    it."""
-    from scipy.linalg import expm as scipy_expm
-
-    return scipy_expm(a)
+def squeezed_vacuum_amps(s: float, dim: int) -> np.ndarray:
+    """S(s)|0> from its series: amps[2m] = sqrt((2m)!)/m! (-tanh(s)/2)^m
+    sqrt(sech s), stable in log space; the odd amplitudes vanish."""
+    if abs(s) > SQUEEZE_MAX:
+        raise ValueError(f"|s| <= {SQUEEZE_MAX:g} is the supported squeezing range")
+    amps = np.zeros(dim)
+    amps[0] = 1.0
+    half_tanh = -0.5 * math.tanh(s)
+    if half_tanh != 0.0:
+        m = np.arange(1, (dim + 1) // 2, dtype=float)
+        # log(sqrt((2m)!)/m!) = sum_k log((2k-1) 2k / k^2) / 2
+        log_mag = 0.5 * np.cumsum(np.log(4.0 - 2.0 / m)) + m * math.log(abs(half_tanh))
+        amps[2::2] = math.copysign(1.0, half_tanh) ** m * np.exp(log_mag)
+    amps *= math.sqrt(1.0 / math.cosh(s))
+    return amps
 
 
 @functools.lru_cache(maxsize=64)
-def squeeze_operator(s: float, dim: int, pad: int = OPERATOR_PAD) -> np.ndarray:
-    """Single-mode squeezer exp(s/2 (a^2 - a^dag^2)), cropped to dim x dim.
+def squeeze_operator(s: float, dim: int) -> np.ndarray:
+    """Squeezer exp(s/2 (a^2 - a^dag^2)) as its exact, real, read-only <m|S|n>,
+    m, n < dim: S a^dag = (sech s a^dag + tanh s a) S gives column n from the
+    vacuum series by <m|S|n> = (sqrt(m) sech s <m-1|S|n-1> + tanh s sqrt(n-1)
+    <m|S|n-2>) / sqrt(n).  Positive s shrinks the y quadrature of chi."""
+    root = np.sqrt(np.arange(dim))
+    sech, tanh = 1.0 / math.cosh(s), math.tanh(s)
+    op = np.zeros((dim, dim))
+    op[:, 0] = squeezed_vacuum_amps(s, dim)
+    for n in range(1, dim):
+        op[1:, n] = sech * root[1:] * op[:-1, n - 1]
+        if n > 1:
+            op[:, n] += tanh * root[n - 1] * op[:, n - 2]
+        op[:, n] /= root[n]
+    op.setflags(write=False)
+    return op
 
-    Built by dense matrix exponential at dim + pad so the crop is accurate
-    for states supported well inside the truncation.  Real s; positive s
-    shrinks the y quadrature of the characteristic function.
-    """
-    big = dim + pad
-    a = annihilator(big)
-    gen = 0.5 * s * (a @ a - a.conj().T @ a.conj().T)
-    return expm(gen)[:dim, :dim]
 
-
-def squeeze_fock(state: FockVector, s: float, pad: int = OPERATOR_PAD,
-                 check_tail: bool = True) -> FockVector:
-    """Apply the squeezing operator to a pure state.
-
-    Raises :class:`TruncationError` if the result's tail mass shows the
-    truncation is too small for this squeezing.
-    """
-    if abs(s) > SQUEEZE_MAX:
-        raise ValueError(f"|s| <= {SQUEEZE_MAX:g} is the supported squeezing range")
-    out = FockVector(squeeze_operator(float(s), state.dim, pad) @ state.amps)
+def squeeze_fock(state: FockVector, s: float, check_tail: bool = True) -> FockVector:
+    """Apply the squeezing operator to a pure state; raises
+    :class:`TruncationError` if the result's tail mass is too large."""
+    out = FockVector(squeeze_operator(float(s), state.dim) @ state.amps)
     return check_truncation(out) if check_tail else out
 
 
-def displacement_operator(xi: complex, dim: int, pad: int = OPERATOR_PAD) -> np.ndarray:
-    """D(xi) = exp(xi a^dag - xi^* a), cropped to dim x dim."""
-    big = dim + pad
-    a = annihilator(big)
-    return expm(xi * a.conj().T - np.conj(xi) * a)[:dim, :dim]
+def displacement_operator(xi: complex, dim: int) -> np.ndarray:
+    """D(xi) = exp(xi a^dag - xi^* a) as its exact <m|D|n>, m, n < dim: with
+    u = xi/|xi| and k = |m - n|, u^k f_n^k(|xi|^2) for m >= n, else
+    (-u^*)^k f_m^k, where f_j^k(x) = sqrt(j!/(j+k)!) x^(k/2) e^(-x/2) L_j^k(x)
+    (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)) runs up in j for every k:
+    f_(j+1) = ((2j+1+k-x) f_j - sqrt(j(j+k)) f_(j-1)) / sqrt((j+1)(j+k+1))."""
+    xi = complex(xi)
+    x = abs(xi) ** 2
+    if x == 0.0:
+        return np.eye(dim, dtype=complex)
+    k = np.arange(dim, dtype=float)
+    lag = np.zeros((dim, dim))  # lag[j, k] = f_j^k(x)
+    lag[0] = np.exp(0.5 * k * math.log(x) - 0.5 * x
+                    - 0.5 * np.cumsum(np.log(np.maximum(k, 1.0))))
+    for j in range(dim - 1):  # at j = 0, f_(j-1) has weight 0: lag[-1] is still zeros
+        up = (2 * j + 1 + k - x) * lag[j] - np.sqrt(j * (j + k)) * lag[j - 1]
+        lag[j + 1] = up / np.sqrt((j + 1) * (j + k + 1))
+    m, n = np.indices((dim, dim))
+    unit = xi / abs(xi)
+    phase = np.where(m >= n, unit ** abs(m - n), (-unit.conjugate()) ** abs(m - n))
+    return phase * lag[np.minimum(m, n), abs(m - n)]
 
 
 def ladder(state: FockVector):
@@ -407,36 +424,25 @@ def fidelity_fock(pure, rho) -> float:
 
 
 def chi_from_fock(state, xi) -> complex:
-    """Symmetric-order characteristic function Tr[rho D(xi)].
+    """Symmetric-order characteristic function Tr[rho D(xi)], exact for the
+    truncated state at every xi.
 
     ``state`` may be a FockVector, FockDensity or TwoModeFock; for two modes
-    pass ``xi`` as a pair.  Emits a warning when |xi| probes beyond the
-    region the truncation can support.
+    pass ``xi`` as a pair.
     """
     if isinstance(state, TwoModeFock):
         xi1, xi2 = xi
         d1, d2 = state.dims
-        _truncation_probe_warning(max(abs(xi1), abs(xi2)), min(d1, d2))
         disp1 = displacement_operator(complex(xi1), d1)
         disp2 = displacement_operator(complex(xi2), d2)
         moved = disp1 @ state.amps @ disp2.T
         return complex(np.vdot(state.amps, moved))
     if isinstance(state, (FockVector, FockDensity)):
-        _truncation_probe_warning(abs(xi), state.dim)
         disp = displacement_operator(complex(xi), state.dim)
         if isinstance(state, FockVector):
             return complex(np.vdot(state.amps, disp @ state.amps))
         return complex(np.trace(state.matrix @ disp))
     raise TypeError(f"unsupported state type {type(state)!r}")
-
-
-def _truncation_probe_warning(radius: float, dim: int):
-    if radius > 0.5 * np.sqrt(dim):
-        warnings.warn(
-            f"|xi| = {radius:.3g} probes beyond the reliable radius "
-            f"sqrt(dim)/2 = {0.5 * np.sqrt(dim):.3g}",
-            stacklevel=3,
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ __all__ = [
     "NegligibleEventError",
     "GaussianSumState",
     "DetectorPOVMChi",
+    "EFFICIENCY_MIN",
     "NO_CLICK",
     "CLICK",
     "GaussianSumStack",
@@ -60,6 +61,7 @@ DEFAULT_PROB_FLOOR = 1e-12
 
 NO_CLICK = "no_click"
 CLICK = "click"
+EFFICIENCY_MIN = 1e-150  # below ~1.5e-154 det((2-eta)/eta I + M) overflows, any state
 
 
 class PhaseSpaceError(Exception):
@@ -183,8 +185,8 @@ class DetectorPOVMChi:
     outcome: str
 
     def __post_init__(self):
-        if not 0.0 < self.efficiency <= 1.0:
-            raise ValueError(f"efficiency must lie in (0, 1], got {self.efficiency}")
+        if not EFFICIENCY_MIN <= self.efficiency <= 1.0:
+            raise ValueError(f"efficiency {self.efficiency} outside [{EFFICIENCY_MIN:g}, 1]")
         if self.outcome not in (NO_CLICK, CLICK):
             raise ValueError(f"outcome must be '{NO_CLICK}' or '{CLICK}'")
 

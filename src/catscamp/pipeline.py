@@ -23,6 +23,7 @@ from .fock import FockDensity, TwoModeFock
 from .optimize import BracketError, golden_section_max
 from .phasespace import (
     CLICK,
+    EFFICIENCY_MIN,
     NO_CLICK,
     DetectorPOVMChi,
     GaussianSumState,
@@ -116,8 +117,8 @@ class PipelineConfig:
                 raise ValueError(f"{name} must lie in (0, 1), got {val}")
         for name in ("eta1", "eta2"):
             val = getattr(self, name)
-            if not 0.0 < val <= 1.0:
-                raise ValueError(f"{name} must lie in (0, 1], got {val}")
+            if not EFFICIENCY_MIN <= val <= 1.0:
+                raise ValueError(f"{name} must lie in [{EFFICIENCY_MIN:g}, 1], got {val}")
         if self.engine not in _ENGINES:
             raise ValueError(f"engine must be one of {_ENGINES}, got {self.engine!r}")
         if self.truncation is not None and self.truncation < 8:

@@ -326,25 +326,12 @@ def cat_fock(alpha: float, parity: str, dim: int = fock.DEFAULT_DIM) -> FockVect
 def squeezed_vacuum_fock(
     s: float, dim: int = fock.DEFAULT_DIM, check_tail: bool = True
 ) -> FockVector:
-    """S(s)|0> from its series: amps[2m] = sqrt((2m)!)/m! (-tanh(s)/2)^m
-    sqrt(sech s), stable in log space; the odd amplitudes vanish.
+    """S(s)|0> from its series, :func:`fock.squeezed_vacuum_amps`.
 
     Raises :class:`fock.TruncationError` when ``check_tail`` finds the tail
     mass too large for ``dim``.
     """
-    s = _real_scalar(s, "s")
-    if abs(s) > fock.SQUEEZE_MAX:
-        raise ValueError(f"|s| <= {fock.SQUEEZE_MAX:g} is the supported squeezing range")
-    amps = np.zeros(dim)
-    amps[0] = 1.0
-    half_tanh = -0.5 * math.tanh(s)
-    if half_tanh != 0.0:
-        m = np.arange(1, (dim + 1) // 2, dtype=float)
-        # log(sqrt((2m)!)/m!) = sum_k log((2k-1) 2k / k^2) / 2
-        log_mag = 0.5 * np.cumsum(np.log(4.0 - 2.0 / m)) + m * math.log(abs(half_tanh))
-        amps[2::2] = math.copysign(1.0, half_tanh) ** m * np.exp(log_mag)
-    amps *= math.sqrt(1.0 / math.cosh(s))
-    out = FockVector(amps)
+    out = FockVector(fock.squeezed_vacuum_amps(_real_scalar(s, "s"), dim))
     return fock.check_truncation(out) if check_tail else out
 
 

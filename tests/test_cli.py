@@ -12,9 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from catscamp import audit, sweeps
+from catscamp import audit, fock, sweeps
 from catscamp.cli import _parse_grid, main
+from catscamp.phasespace import EFFICIENCY_MIN
 from catscamp.pipeline import PipelineConfig
+from catscamp.states import cat_fock
 from catscamp.sweeps import FIGURE_COLUMNS, SweepSpec, normalize_figure
 
 
@@ -95,6 +97,23 @@ class TestRun:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert field in err
+
+    @pytest.mark.parametrize("flag", ["--eta1", "--eta2"])
+    def test_efficiency_below_floor_exits_2_before_running(self, capsys, flag):
+        # below the floor the chi no-click integral's determinant overflows
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "run", "--alpha", "1", flag, "1e-160",
+                                     "--engine", "chi")
+        assert code == 2
+        assert out == "" and not caught
+        assert err == f"error: {flag[2:]} must lie in [1e-150, 1], got 1e-160\n"
+
+    def test_efficiency_at_floor_runs_both_engines(self, capsys):
+        code, out, _ = run_cli(capsys, "run", "--alpha", "1", "--eta1", repr(EFFICIENCY_MIN),
+                               "--engine", "both")
+        assert code == 0
+        assert parse_record(out)["engines_agree"] == "true"
 
     def test_non_finite_fidelity_exits_1_with_one_line(self, capsys):
         code, out, err = run_cli(capsys, "run", "--alpha", "6.5", "--squeezing", "-2")
@@ -399,6 +418,35 @@ class TestValidateCommand:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(out_path) in err
+
+    def test_runtime_needs_no_scipy(self):
+        # scipy is a test dependency only: with its import blocked, validate,
+        # a figure-9 row and the exact single-mode operators still run
+        code = (
+            "import contextlib, io, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import numpy as np\n"
+            "from catscamp import cli, fock, sweeps\n"
+            "from catscamp.states import cat_fock\n"
+            "report = io.StringIO()\n"
+            "with contextlib.redirect_stdout(report):\n"
+            "    code = cli.main(['validate'])\n"
+            "print(code, report.getvalue().count('PASS '), report.getvalue().count('KNOWN '))\n"
+            "spec = sweeps.SweepSpec(figure='ideal_gain', alphas=np.array([1.0]))\n"
+            "print(','.join(sweeps.sweep_rows(spec)[1][0]))\n"
+            "cat = fock.squeeze_fock(cat_fock(1.0, 'odd', 60), -0.5)\n"
+            "print(fock.chi_from_fock(cat, 0.3 + 0.2j))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=300, check=False)
+        assert proc.returncode == 0, proc.stderr
+        summary, row, chi = proc.stdout.splitlines()
+        assert summary == "0 16 2"
+        golden = (Path(__file__).parent / "golden" / "demo04" / "ideal_gain.csv").read_text()
+        assert row in [line for line in golden.splitlines() if line.startswith("1,")]
+        cat = fock.squeeze_fock(cat_fock(1.0, "odd", 60), -0.5)
+        assert complex(chi) == fock.chi_from_fock(cat, 0.3 + 0.2j)
 
     def test_broken_convention_fixture_fails_lock(self):
         from catscamp.fock import beamsplitter_fock

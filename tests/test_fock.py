@@ -1,13 +1,16 @@
 """Number-basis oracle: operators, detection, characteristic function."""
 
+import functools
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from catscamp import fock
 from catscamp.fock import (
@@ -70,12 +73,17 @@ class TestBeamsplitter:
             beamsplitter_fock(TwoModeFock(np.zeros((4, 5), dtype=complex)), HALF, HALF)
 
 
+@functools.lru_cache(maxsize=1)
+def big_annihilator(dim: int = 400) -> np.ndarray:
+    """a at dim 400: its exponentials, cropped far below the edge, are the
+    oracle of the exact single-mode operators."""
+    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1)
+
+
 def element_loop_blocks(t: float, r: float, dim: int):
     """The splitter's blocks on the sectors N < dim, every one exponentiated
     from a generator filled one element at a time: the engine's original
     loop, kept here as the oracle of the recurrence."""
-    from scipy.linalg import expm
-
     theta = float(np.arctan2(r, t))
     blocks = []
     for total in range(dim):
@@ -338,12 +346,17 @@ class TestSqueeze:
             series = squeezed_vacuum_amps_direct(s, 60)
             assert np.max(np.abs(built.amps - series)) < 1e-10
 
-    def test_heavy_squeezing_needs_more_padding(self):
-        # slow number-basis convergence at |s| > 1: the default pad is not
-        # enough for 1e-10 agreement, a wider exponentiation window is
-        built = squeeze_fock(vacuum_vector(60), -1.2, pad=100, check_tail=False)
-        series = squeezed_vacuum_amps_direct(-1.2, 60)
-        assert np.max(np.abs(built.amps - series)) < 1e-10
+    @pytest.mark.parametrize("s", [-2.0, -1.4, 1.4, 2.0])
+    def test_vacuum_column_is_the_series_bit_for_bit(self, s):
+        built = squeeze_fock(vacuum_vector(200), s, check_tail=False)
+        assert np.array_equal(built.amps, squeezed_vacuum_fock(s, 200, check_tail=False).amps)
+
+    @pytest.mark.parametrize("s", [-1.4, -0.5, 0.8, 1.4])
+    def test_operator_matches_wide_exponential(self, s):
+        # columns n <= 30 of the exact elements against expm at dim 400, cropped
+        a = big_annihilator()
+        oracle = expm(0.5 * s * (a @ a - a.T @ a.T))[:60, :31]
+        assert np.max(np.abs(fock.squeeze_operator(s, 60)[:, :31] - oracle)) <= 1e-10
 
     def test_zero_squeezing_is_identity(self):
         state = cat_fock(1.0, "even", 40)
@@ -485,9 +498,19 @@ class TestChiFromFock:
         numeric = np.array([chi_from_fock(state, z) for z in xi])
         assert np.max(np.abs(numeric - direct)) < 1e-8
 
-    def test_probe_radius_warning(self):
-        with pytest.warns(UserWarning, match="reliable radius"):
-            chi_from_fock(vacuum_vector(16), 4.0 + 0.0j)
+    def test_exact_far_beyond_the_truncation(self):
+        # <0|D(4)|0> = exp(-8), although |xi|^2 = 16 equals the dimension
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val = chi_from_fock(vacuum_vector(16), 4.0)
+        assert val == pytest.approx(math.exp(-8.0), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("xi", [1 + 1j, 2.0, 3.35, -0.7 + 2j])
+    def test_displacement_matches_wide_exponential(self, xi):
+        # every exact element against expm at dim 400, cropped
+        a = big_annihilator()
+        oracle = expm(xi * a.T - np.conj(xi) * a)[:60, :60]
+        assert np.max(np.abs(fock.displacement_operator(xi, 60) - oracle)) <= 1e-13
 
 
 class TestStateClasses:

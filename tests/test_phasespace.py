@@ -15,6 +15,7 @@ from catscamp import fock
 from catscamp.fock import TwoModeFock, chi_from_fock
 from catscamp.phasespace import (
     CLICK,
+    EFFICIENCY_MIN,
     NO_CLICK,
     DetectorPOVMChi,
     GaussianSumStack,
@@ -607,6 +608,19 @@ class TestCondition:
             p_no = outcome_probability(state, 0, DetectorPOVMChi(eta, NO_CLICK))
             p_yes = outcome_probability(state, 0, DetectorPOVMChi(eta, CLICK))
             assert p_no + p_yes == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("eta", [0.0, 1e-160, 1.5, math.nan])
+    def test_efficiency_outside_its_domain_rejected(self, eta):
+        with pytest.raises(ValueError, match="efficiency"):
+            DetectorPOVMChi(eta, NO_CLICK)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("make", [lambda: cat_chi(2.0, "odd"),
+                                      lambda: squeezed_vacuum_chi(-2.0)])
+    def test_efficiency_floor_integrates_without_overflow(self, make):
+        # a nearly blind detector stays dark on any input
+        p_no = outcome_probability(make(), 0, DetectorPOVMChi(EFFICIENCY_MIN, NO_CLICK))
+        assert p_no == pytest.approx(1.0, abs=1e-12)
 
     def test_click_on_vacuum_hits_probability_floor(self):
         state = tensor(vacuum_chi(), vacuum_chi())

@@ -238,6 +238,7 @@ class TestConfig:
         [
             (dict(alpha=1.0, eta1=1.3), "eta1"),
             (dict(alpha=1.0, eta2=0.0), "eta2"),
+            (dict(alpha=1.0, eta1=1e-160), "eta1"),
             (dict(alpha=1.0, t2=1.2), "t2"),
             (dict(alpha=-0.5), "alpha"),
             (dict(alpha=1.0, engine="magic"), "engine"),
