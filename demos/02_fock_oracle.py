@@ -71,7 +71,7 @@ print(f"\n|<odd cat| a |even cat>|^2 after normalization: "
 joint = beamsplitter_fock(
     TwoModeFock(np.outer(even.amps, squeezed_vacuum_fock(s, DIM).amps)), HALF, HALF
 )
-rho, p_dark = condition_fock(joint, 0, 1.0, "no_click")
+rho, p_dark = condition_fock(joint, 1.0)
 print(f"comparison stage, perfect detector: P(dark) = {p_dark:.6f}")
 print(f"conditioned purity Tr[rho^2] = {rho.purity():.9f}")
 

@@ -132,7 +132,7 @@ def _beamsplitter_unitarity(seed=20260809) -> AuditCheck:
         mixed = substitute_beamsplitter(joint, 0, 1, t, r)
         worst = max(worst, abs(mixed.norm_value().real - 1.0), abs(purity(mixed) - 1.0))
         vec = TwoModeFock(np.outer(cat_fock(alpha, EVEN, 60).amps,
-                                   squeezed_vacuum_fock(s, 60, check_tail=False).amps))
+                                   squeezed_vacuum_fock(s, 60).amps))
         out = fock.beamsplitter_fock(vec, t, r)
         # the splitter keeps the sectors N < 60 only: unitary on those
         worst_fock = max(worst_fock, abs(out.norm() ** 2 - (vec.norm() ** 2 - vec.tail_mass())))
@@ -180,7 +180,7 @@ def _noclick_is_vacuum_projection() -> AuditCheck:
         joint = substitute_beamsplitter(joint, 0, 1, HALF, HALF)
         kept, _ = condition(joint, 0, DetectorPOVMChi(1.0, NO_CLICK))
         two = TwoModeFock(np.outer(cat_fock(alpha, EVEN, dim).amps,
-                                   squeezed_vacuum_fock(s, dim).amps))
+                                   fock.check_truncation(squeezed_vacuum_fock(s, dim)).amps))
         two = fock.beamsplitter_fock(two, HALF, HALF)
         projected = fock.FockVector(two.amps[0, :]).normalized()
         probe = np.linspace(-1.4, 1.4, 9)
@@ -195,7 +195,7 @@ def _noclick_is_vacuum_projection() -> AuditCheck:
 def _trace_rule_consistency(seed=7) -> AuditCheck:
     """Pure-state overlaps agree between the engines.
 
-    Cat-against-squeezed pairs run at the base truncation 40 (the cat caps
+    Cat-against-squeezed pairs run at the first ladder rung, 40 (the cat caps
     the support).  Pairs of heavily squeezed states converge slowly in the
     number basis, so those run at the first truncation that holds both
     states compared; the top rung, 200, holds a squeezed vacuum only up to
@@ -209,8 +209,8 @@ def _trace_rule_consistency(seed=7) -> AuditCheck:
         s = rng.uniform(-TRACE_RULE_SQUEEZE_MAX, TRACE_RULE_SQUEEZE_MAX)
         parity = EVEN if rng.integers(2) else ODD
         val_chi = overlap(cat_chi(alpha, parity), squeezed_vacuum_chi(s))
-        a = cat_fock(alpha, parity, fock.DEFAULT_DIM)
-        b = squeezed_vacuum_fock(s, fock.DEFAULT_DIM, check_tail=False)
+        a = cat_fock(alpha, parity, fock.DIM_LADDER[0])
+        b = squeezed_vacuum_fock(s, fock.DIM_LADDER[0])
         val_fock = float(np.abs(np.vdot(a.amps, b.amps)) ** 2)
         worst = max(worst, abs(val_chi - val_fock))
     for _ in range(8):
@@ -218,8 +218,8 @@ def _trace_rule_consistency(seed=7) -> AuditCheck:
         s2 = rng.uniform(-TRACE_RULE_SQUEEZE_MAX, TRACE_RULE_SQUEEZE_MAX)
         alpha = rng.uniform(0.0, 1.2)
         _, (a, b) = fock.pick_dim(lambda d: (
-            squeezed_coherent_fock(s1, alpha, d, check_tail=False),
-            squeezed_vacuum_fock(s2, d, check_tail=False),
+            squeezed_coherent_fock(s1, alpha, d),
+            squeezed_vacuum_fock(s2, d),
         ))
         val_chi = overlap(squeezed_coherent_chi(s1, alpha), squeezed_vacuum_chi(s2))
         val_fock = float(np.abs(np.vdot(a.amps, b.amps)) ** 2)
@@ -239,7 +239,7 @@ def _wigner_marginalization() -> AuditCheck:
     worst = 0.0
     for chi_state, fock_state in (
         (cat_chi(1.0, EVEN), cat_fock(1.0, EVEN, 60)),
-        (squeezed_vacuum_chi(-0.72), squeezed_vacuum_fock(-0.72, 60)),
+        (squeezed_vacuum_chi(-0.72), fock.check_truncation(squeezed_vacuum_fock(-0.72, 60))),
     ):
         w = wigner(chi_state, probes, p)
         marginal = w @ simpson
@@ -253,9 +253,8 @@ def _squeezing_optimality() -> AuditCheck:
     worst = 0.0
     for alpha in (0.5, 1.0, 1.5):
         s_formula = optimal_squeezing(alpha).s
-        s_num, _ = golden_section_max(
-            lambda s: cat_squeezed_overlap(alpha, s), -1.6, 0.2, tol=1e-9, polish_h=1e-4
-        )
+        s_num, _ = golden_section_max(lambda ss: [cat_squeezed_overlap(alpha, s) for s in ss],
+                                      -1.6, 0.2, tol=1e-9, polish_h=1e-4)
         worst = max(worst, abs(s_num - s_formula))
     return _check("optimal-squeezing-formula", "invariant", worst < 1e-6,
                   f"max |argmax - formula| = {worst:.3e}")

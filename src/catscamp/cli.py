@@ -3,8 +3,9 @@
 Configuration precedence is flag > config file > default, the defaults
 being :class:`PipelineConfig`'s.  The config file is flat ``key = value``
 text with ``#`` comments; keys mirror the long flags.  Exit codes: 0
-success, 1 engine/runtime error, 2 usage or configuration error, and 141
-(128 + SIGPIPE), with no traceback, when the reader of stdout has gone away.
+success, 1 engine/runtime error, 2 usage or configuration error (an
+``--out`` file that cannot be written included), and 141 (128 + SIGPIPE),
+with no traceback, when the reader of stdout has gone away.
 """
 
 from __future__ import annotations
@@ -114,9 +115,14 @@ def _squeezing_value(text):
         raise ConfigError(f"squeezing must be 'auto' or a number, got {text!r}") from exc
 
 
+@contextlib.contextmanager
 def _open_for_write(path: str):
+    """``path`` open for writing; an ``OSError`` opening, writing or closing
+    it is a usage error that names the path.  Any ``OSError`` in the block
+    is read as this file's, so stdout is written after the block."""
     try:
-        return open(path, "w", encoding="ascii", newline="")
+        with open(path, "w", encoding="ascii", newline="") as handle:
+            yield handle
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
 
@@ -221,7 +227,6 @@ def _cmd_validate(args) -> int:
     # the report file opens first, so a bad path fails before the audit runs
     with _open_for_write(args.out) if args.out else contextlib.nullcontext() as handle:
         checks = audit.run_audit()
-        print(audit.format_report(checks))
         if handle is not None:
             payload = [
                 {"name": c.name, "category": c.category, "status": c.status,
@@ -230,7 +235,9 @@ def _cmd_validate(args) -> int:
             ]
             json.dump(payload, handle, indent=2)
             handle.write("\n")
-            print(f"wrote {args.out}")
+    print(audit.format_report(checks))
+    if args.out:
+        print(f"wrote {args.out}")
     return 0 if audit.audit_passed(checks) else 1
 
 

@@ -10,11 +10,10 @@ __all__ = ["BracketError", "golden_section_max"]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-# golden steps per batched call when a vectorised ``scan`` is given: each batch
-# evaluates the 2**depth - 1 points its steps could need.  On a 2-vCPU x86-64
-# box with one BLAS thread, depths 3 and 4 ran within noise of each other on
-# the chi and Fock fidelity curves and 5 ran slower; 4 keeps a search to at
-# most 11 calls of the curve.
+# golden steps per call of the curve: each call evaluates the 2**depth - 1
+# points its steps could need.  On a 2-vCPU x86-64 box with one BLAS thread,
+# depths 3 and 4 ran within noise of each other on the chi and Fock fidelity
+# curves and 5 ran slower; 4 keeps a search to at most 11 calls of the curve.
 _SPECULATION_DEPTH = 4
 
 # points of the coarse bracketing scan
@@ -57,26 +56,25 @@ def _speculate(a, b, c, d, x, depth, tol):
     return points
 
 
-def golden_section_max(f, lo, hi, tol=1e-6, polish_h=4e-3, scan=None):
+def golden_section_max(curve, lo, hi, tol=1e-6, polish_h=4e-3):
     """Maximize a unimodal scalar function on [lo, hi].
 
-    A coarse 64-point scan guards against multimodality and picks the
-    starting bracket; golden-section narrows it to width ``tol``; a final
-    parabolic fit over a fixed +-``polish_h`` stencil replaces the
-    comparison-driven endpoint.  The vertex is a continuous function of the
-    sampled values, so two implementations of the same smooth objective land
-    on the same argmax even where the maximum is flat enough that golden
-    bracket decisions become noise-driven.  Returns ``(x_star, f_star)``.
+    ``curve`` maps a 1-d array of points to their values.  A coarse 64-point
+    scan guards against multimodality and picks the starting bracket;
+    golden-section narrows it to width ``tol``; a final parabolic fit over a
+    fixed +-``polish_h`` stencil replaces the comparison-driven endpoint.
+    The vertex is a continuous function of the sampled values, so two
+    implementations of the same smooth objective land on the same argmax
+    even where the maximum is flat enough that golden bracket decisions
+    become noise-driven.  Returns ``(x_star, f_star)``.
 
-    ``scan``, when given, evaluates ``f`` on an array of points in one call
-    and must agree with ``f`` point by point.  It then takes the coarse
-    scan, the first golden pair and the polish stencil in one call each, and
-    the golden steps in batches: the next point is fixed by the last
-    comparison, so one call evaluates it together with every point the
-    following ``_SPECULATION_DEPTH - 1`` steps could need, and the steps
-    replay against those values.  The bracket arithmetic is the same either
-    way, so the result is bit-identical to the search with ``f`` alone, which
-    is the batch size 1 case of the same loop.
+    The coarse scan, the first golden pair, the polish stencil and its
+    vertex take one call of ``curve`` each, and the golden steps go in
+    batches: the next point is fixed by the last comparison, so one call
+    evaluates it together with every point the following
+    ``_SPECULATION_DEPTH - 1`` steps could need, and the steps replay
+    against those values.  The bracket arithmetic is that of the search one
+    point at a time, so the result is bit-identical to it.
 
     Raises :class:`BracketError` (with the coarse scan attached) when the
     coarse maximum sits on the boundary, i.e. no interior bracket exists,
@@ -84,12 +82,11 @@ def golden_section_max(f, lo, hi, tol=1e-6, polish_h=4e-3, scan=None):
     """
     if not hi > lo:
         raise ValueError("need hi > lo")
-    depth = 1 if scan is None else _SPECULATION_DEPTH
     xs = np.linspace(lo, hi, _N_COARSE)
     fs = None  # the coarse values, once taken
 
-    def checked(points, values):
-        values = np.asarray(values, dtype=float)
+    def evaluate(points):
+        values = np.asarray(curve(np.asarray(points)), dtype=float)
         bad = ~np.isfinite(values)
         if bad.any():
             raise BracketError(
@@ -98,10 +95,6 @@ def golden_section_max(f, lo, hi, tol=1e-6, polish_h=4e-3, scan=None):
                 scan_f=values if fs is None else fs,
             )
         return values
-
-    def evaluate(points):
-        values = [f(x) for x in points] if scan is None else scan(np.asarray(points))
-        return checked(points, values)
 
     fs = evaluate(xs)
     best = int(np.argmax(fs))
@@ -120,7 +113,7 @@ def golden_section_max(f, lo, hi, tol=1e-6, polish_h=4e-3, scan=None):
         left = fc > fd
         a, b, c, d, x = _golden_step(a, b, c, d, left)
         if x not in known:
-            points = _speculate(a, b, c, d, x, depth, tol)
+            points = _speculate(a, b, c, d, x, _SPECULATION_DEPTH, tol)
             known = dict(zip(points, evaluate(points)))
         if left:
             fc, fd = known[x], fc
@@ -134,5 +127,5 @@ def golden_section_max(f, lo, hi, tol=1e-6, polish_h=4e-3, scan=None):
         if denom < 0.0:  # concave stencil: the parabola has a maximum
             vertex = xc + 0.5 * polish_h * (f0 - f2) / denom
             if lo <= vertex <= hi and abs(vertex - xc) <= 2.0 * polish_h:
-                return float(vertex), float(checked([vertex], [f(vertex)])[0])
+                return float(vertex), float(evaluate([vertex])[0])
     return float(x_star), float(f_star)

@@ -42,7 +42,6 @@ __all__ = [
     "EFFICIENCY_MIN",
     "NO_CLICK",
     "CLICK",
-    "GaussianSumStack",
     "TraceRule",
     "tensor",
     "substitute_linear",
@@ -257,27 +256,11 @@ def substitute_beamsplitter(
     return substitute_linear(state, lmap)
 
 
-@dataclass(frozen=True, eq=False)  # identity: generated == would compare arrays
-class GaussianSumStack:
-    """B Gaussian sums on n modes that share their J quadratic forms.
+class TraceRule:
+    """Trace-rule pairings Tr[A_b S] of B rows A_b with one state S of K terms.
 
     Row b is sum_j weights[b, j] exp(-1/2 r^T quads[j] r + lins[b, j]^T r),
-    with ``weights`` (B, J) complex, ``quads`` (J, 2n, 2n) real symmetric and
-    ``lins`` (B, J, 2n) complex.  A family of states whose parameters move
-    only the weights and linear parts (cats of varying size) is one stack;
-    one state is the one-row stack of its own arrays.
-    """
-
-    n_modes: int
-    weights: np.ndarray
-    quads: np.ndarray
-    lins: np.ndarray
-
-
-class TraceRule:
-    """Trace-rule pairings Tr[A_b S] of the rows A_b of stacks sharing the
-    quadratic forms ``quads`` with one state S of K terms.
-
+    its J forms ``quads`` shared by every row, as cats of any size share them.
     Every term pair (j, k) is the Gaussian integral with matrix
     Q_j + M_k and linear part l_bj - l_k.  The J*K Cholesky factors do not
     depend on the row, so they are taken once, here; each call then solves
@@ -289,7 +272,7 @@ class TraceRule:
     Every row is computed with the same elementwise operations as a lone
     term pair, and the weighted pairs are accumulated in order (row term
     outer, state term inner), so a row's value does not depend on the
-    stack it sits in.
+    rows it is evaluated with.
     """
 
     def __init__(self, quads: np.ndarray, state: GaussianSumState):
@@ -311,11 +294,10 @@ class TraceRule:
             np.log(np.diagonal(self.chol, axis1=-2, axis2=-1)), axis=-1
         )
 
-    def __call__(self, stack: GaussianSumStack) -> np.ndarray:
-        """The B trace-rule values of ``stack`` paired with the state."""
-        if stack.quads is not self.quads and not np.array_equal(stack.quads, self.quads):
-            raise ValueError("stack quadratic forms differ from the factored ones")
-        lin = stack.lins[:, :, None, :] - self.lins
+    def __call__(self, weights: np.ndarray, lins: np.ndarray) -> np.ndarray:
+        """The B trace-rule values of the rows with ``weights`` (B, J) and
+        ``lins`` (B, J, 2n) paired with the state."""
+        lin = lins[:, :, None, :] - self.lins
         # b^T A^-1 b = z^T z with z = L^-1 b (bilinear, not conjugated)
         # one solve per factor, the rows its right-hand sides; z is made
         # contiguous again, as np.sum adds a strided axis in another order
@@ -323,8 +305,8 @@ class TraceRule:
             np.moveaxis(np.linalg.solve(self.chol, np.moveaxis(lin, 0, -1)), -1, 0))
         val = np.exp(0.5 * np.sum(z * z, axis=-1) + self.log_2pi_half
                      - self.log_sqrt_det)
-        w = _product(stack.weights[:, :, None], self.weights)
-        pairs = (w.real * val.real - w.imag * val.imag).reshape(len(stack.weights), -1)
+        w = _product(weights[:, :, None], self.weights)
+        pairs = (w.real * val.real - w.imag * val.imag).reshape(len(weights), -1)
         # a running sum, never a pairwise one: add.accumulate adds in order
         return np.add.accumulate(pairs, axis=1)[:, -1] / np.pi**self.n_modes
 
@@ -335,8 +317,7 @@ def overlap(a: GaussianSumState, b: GaussianSumState) -> float:
     For a pure state paired with any state this is the quantum fidelity.
     Raises :class:`NonIntegrableError` if any term pair fails to converge.
     """
-    stack = GaussianSumStack(a.n_modes, a.weights[None], a.quads, a.lins[None])
-    return float(TraceRule(a.quads, b)(stack)[0])
+    return float(TraceRule(a.quads, b)(a.weights[None], a.lins[None])[0])
 
 
 def purity(state: GaussianSumState) -> float:

@@ -36,6 +36,7 @@ from .phasespace import (
     wigner,
 )
 from .states import (
+    CAT_QUADS,
     EVEN,
     ODD,
     cat_chi,
@@ -85,7 +86,8 @@ class PipelineConfig:
     value; either way the resolved value must satisfy |s| <= 2.  The
     stage-1 splitter defaults to 50:50 and the stage-2 splitter to
     t2 = sqrt(0.95).  ``truncation`` pins the number-basis dimension of the
-    fock engine (``None`` selects the smallest adequate ladder rung).
+    fock engine, 8 to :data:`fock.TRUNCATION_MAX` (``None`` selects the
+    smallest adequate ladder rung).
     Every value is checked here, so an out-of-domain one raises
     ``ValueError`` before anything runs.
     """
@@ -121,8 +123,9 @@ class PipelineConfig:
                 raise ValueError(f"{name} must lie in [{EFFICIENCY_MIN:g}, 1], got {val}")
         if self.engine not in _ENGINES:
             raise ValueError(f"engine must be one of {_ENGINES}, got {self.engine!r}")
-        if self.truncation is not None and self.truncation < 8:
-            raise ValueError("truncation must be at least 8")
+        if self.truncation is not None and not 8 <= self.truncation <= fock.TRUNCATION_MAX:
+            raise ValueError(f"truncation must lie in [8, {fock.TRUNCATION_MAX}], "
+                             f"got {self.truncation}")
 
     @property
     def r1(self) -> float:
@@ -248,7 +251,7 @@ def _fock_comparison(joint: TwoModeFock, cfg: PipelineConfig):
     """Stage 1 in the number-basis engine: the pure product of input and
     guess conditions into a single-mode density.  Returns ``(rho1, p1)``."""
     joint = fock.beamsplitter_fock(joint, cfg.t1, cfg.r1)
-    return fock.condition_fock(joint, 0, cfg.eta1, NO_CLICK)
+    return fock.condition_fock(joint, cfg.eta1)
 
 
 def _fock_subtraction(rho1: FockDensity, cfg: PipelineConfig):
@@ -260,12 +263,11 @@ def _chi_fidelity_curve(out: GaussianSumState, parity: str):
     """beta -> overlap(cat_chi(beta, parity), out) for an array of beta.
 
     The Cholesky factors of the cat-output term pairs are taken once here,
-    so every later call, whether the whole coarse scan or one point of the
+    so every later call, whether the whole coarse scan or one batch of the
     golden-section search, is a single solve over its pairs.
     """
-    quads = cat_chi_stack(1.0, parity).quads  # the same forms for every size
-    pair = TraceRule(quads, out)
-    return lambda betas: pair(cat_chi_stack(betas, parity))
+    pair = TraceRule(CAT_QUADS, out)
+    return lambda betas: pair(*cat_chi_stack(betas, parity))
 
 
 def _fock_fidelity_curve(out: FockDensity, parity: str):
@@ -296,9 +298,8 @@ def _beta_bracket(alpha: float):
 def _optimize_beta(curve, alpha: float):
     """Search the target size on [max(alpha/2, guard), 3 alpha + 1/2].
 
-    ``curve`` evaluates the fidelity on an array of beta: the coarse scan is
-    one call of it, and every later point of :func:`golden_section_max` its
-    one-row case.  The lower edge guards the beta > 0 domain of odd targets.
+    ``curve`` evaluates the fidelity on an array of beta.  The lower edge
+    guards the beta > 0 domain of odd targets.
     For degenerate inputs the fidelity keeps rising toward beta = 0 (the
     target degenerates to a single photon); the guard-constrained maximum
     is returned in that case.  A maximum at the upper edge is a genuine
@@ -307,11 +308,10 @@ def _optimize_beta(curve, alpha: float):
     is muted): both propagate with the coarse scan attached.  The search
     narrows beta* to the default width 1e-6 of :func:`golden_section_max`.
     """
-    fid = lambda b: float(curve(b)[0])
     lo, hi = _beta_bracket(alpha)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            return golden_section_max(fid, lo, hi, scan=curve)
+            return golden_section_max(curve, lo, hi)
     except BracketError as exc:
         if np.isfinite(exc.scan_f).all() and int(np.argmax(exc.scan_f)) == 0:
             return float(lo), float(exc.scan_f[0])
@@ -349,7 +349,7 @@ def run_parity_swap(cfg: PipelineConfig, optimize: bool = True) -> PipelineResul
     if cfg.engine in ("fock", "both"):
         dim, (_, _, joint) = fock.pick_dim(
             lambda d: _fock_inputs(cat_fock(cfg.alpha, cfg.parity, d),
-                                   squeezed_vacuum_fock(s, d, check_tail=False)),
+                                   squeezed_vacuum_fock(s, d)),
             cfg.truncation,
         )
         rho1, p1 = _fock_comparison(joint, cfg)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import fock
 from .fock import FockVector
-from .phasespace import GaussianSumStack, GaussianSumState, substitute_linear
+from .phasespace import GaussianSumState, substitute_linear
 
 __all__ = [
     "EVEN",
@@ -41,6 +41,7 @@ __all__ = [
     "squeezed_vacuum_chi",
     "squeezed_coherent_chi",
     "cat_chi",
+    "CAT_QUADS",
     "cat_chi_stack",
     "squeeze_chi",
     "coherent_fock",
@@ -209,16 +210,17 @@ def squeezed_coherent_chi(s: float, alpha: float) -> GaussianSumState:
                             f"squeezed_coherent(s={s:g},a={alpha:g})")
 
 
-_CAT_QUADS = np.stack([np.eye(2)] * 4)
-_CAT_QUADS.setflags(write=False)
+CAT_QUADS = np.stack([np.eye(2)] * 4)
+CAT_QUADS.setflags(write=False)
 
 
-def cat_chi_stack(alphas, parity: str) -> GaussianSumStack:
-    """:func:`cat_chi` for an array of sizes, one stack row per size.
+def cat_chi_stack(alphas, parity: str):
+    """:func:`cat_chi` for an array of sizes: ``(weights (B, 4), lins (B, 4, 2))``,
+    one row per size.
 
-    All four terms of every cat share the quadratic form I, so a family of
-    cats is one :class:`GaussianSumStack` whose rows differ only in their
-    weights and linear parts.
+    All four terms of every cat share the quadratic forms :data:`CAT_QUADS`,
+    so a family of cats differs only in its weights and linear parts, the
+    rows :class:`phasespace.TraceRule` takes.
     """
     sizes, norm2 = _cat_sizes(alphas, parity)
     sign = parity_sign(parity)
@@ -230,7 +232,7 @@ def cat_chi_stack(alphas, parity: str) -> GaussianSumStack:
     lins.imag[:, 1, 1] = -two_a
     lins.real[:, 2, 0] = -two_a
     lins.real[:, 3, 0] = two_a
-    return GaussianSumStack(1, weights, _CAT_QUADS, lins)
+    return weights, lins
 
 
 def cat_chi(alpha: float, parity: str) -> GaussianSumState:
@@ -240,9 +242,8 @@ def cat_chi(alpha: float, parity: str) -> GaussianSumState:
     populations) plus two real-linear interference terms weighted by
     +-exp(-2 alpha^2).
     """
-    stack = cat_chi_stack(alpha, parity)
-    return GaussianSumState(1, stack.weights[0], stack.quads, stack.lins[0],
-                            f"cat({float(alpha):g},{parity})")
+    weights, lins = cat_chi_stack(alpha, parity)
+    return GaussianSumState(1, weights[0], CAT_QUADS, lins[0], f"cat({float(alpha):g},{parity})")
 
 
 def squeeze_chi(state: GaussianSumState, s: float) -> GaussianSumState:
@@ -262,7 +263,7 @@ def squeeze_chi(state: GaussianSumState, s: float) -> GaussianSumState:
 # number-basis constructors
 # ---------------------------------------------------------------------------
 
-def coherent_fock(alpha: float, dim: int = fock.DEFAULT_DIM) -> FockVector:
+def coherent_fock(alpha: float, dim: int) -> FockVector:
     """amps[n] = exp(-alpha^2/2) alpha^n / sqrt(n!), stable in log space."""
     alpha = _real_scalar(alpha, "alpha")
     amps = np.zeros(dim)
@@ -294,7 +295,7 @@ def _cat_fock_table(parity: str, dim: int):
     return table
 
 
-def cat_fock_stack(alphas, parity: str, dim: int = fock.DEFAULT_DIM) -> np.ndarray:
+def cat_fock_stack(alphas, parity: str, dim: int) -> np.ndarray:
     """:func:`cat_fock` for an array of sizes: a real (B, len(parity_indices))
     array whose row b holds cat b's amplitudes on the states of its parity.
 
@@ -315,7 +316,7 @@ def cat_fock_stack(alphas, parity: str, dim: int = fock.DEFAULT_DIM) -> np.ndarr
     return (2.0 * amps) * scale[:, None]
 
 
-def cat_fock(alpha: float, parity: str, dim: int = fock.DEFAULT_DIM) -> FockVector:
+def cat_fock(alpha: float, parity: str, dim: int) -> FockVector:
     """Cat state amplitudes with exact zeros on the forbidden parity: the
     one-row case of :func:`cat_fock_stack`."""
     amps = np.zeros(dim)
@@ -323,24 +324,14 @@ def cat_fock(alpha: float, parity: str, dim: int = fock.DEFAULT_DIM) -> FockVect
     return FockVector(amps)
 
 
-def squeezed_vacuum_fock(
-    s: float, dim: int = fock.DEFAULT_DIM, check_tail: bool = True
-) -> FockVector:
-    """S(s)|0> from its series, :func:`fock.squeezed_vacuum_amps`.
-
-    Raises :class:`fock.TruncationError` when ``check_tail`` finds the tail
-    mass too large for ``dim``.
-    """
-    out = FockVector(fock.squeezed_vacuum_amps(_real_scalar(s, "s"), dim))
-    return fock.check_truncation(out) if check_tail else out
+def squeezed_vacuum_fock(s: float, dim: int) -> FockVector:
+    """S(s)|0> from its series, :func:`fock.squeezed_vacuum_amps`."""
+    return FockVector(fock.squeezed_vacuum_amps(_real_scalar(s, "s"), dim))
 
 
-def squeezed_coherent_fock(
-    s: float, alpha: float, dim: int = fock.DEFAULT_DIM, check_tail: bool = True
-) -> FockVector:
+def squeezed_coherent_fock(s: float, alpha: float, dim: int) -> FockVector:
     """S(s)|alpha> in the number basis (squeeze after displacement)."""
-    return fock.squeeze_fock(coherent_fock(alpha, dim), _real_scalar(s, "s"),
-                             check_tail=check_tail)
+    return fock.squeeze_fock(coherent_fock(alpha, dim), _real_scalar(s, "s"))
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +409,7 @@ def subtracted_squeezed_cat(
     as given.
     """
     def build(d):
-        squeezed = fock.squeeze_fock(cat_fock(alpha, parity, d), s, check_tail=False)
+        squeezed = fock.squeeze_fock(cat_fock(alpha, parity, d), s)
         subtracted, _ = fock.ladder(squeezed)
         return squeezed, subtracted, cat_fock(beta_max, opposite_parity(parity), d)
 

@@ -89,6 +89,7 @@ class TestRun:
             (("--alpha", "1e200", "--squeezing", "0"), "alpha"),
             (("--engine", "bogus"), "engine"),
             (("--parity", "bogus"), "parity"),
+            (("--truncation", "1000000", "--engine", "fock"), "truncation"),
         ],
     )
     def test_out_of_domain_value_exits_2_with_one_line(self, capsys, argv, field):
@@ -393,6 +394,28 @@ class TestWignerCommand:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "missing" in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", ["sweep", "wigner", "validate"])
+def test_full_device_exits_2_with_one_line(capsys, tmp_path, monkeypatch, command):
+    # /dev/full opens but fails every write: the error comes from writing or
+    # closing the file, not from opening it
+    monkeypatch.setattr(audit, "run_audit",
+                        lambda: [audit.AuditCheck("stub", "invariant", "pass", "")])
+    path = "/dev/full"
+    if command == "wigner":
+        path = str(tmp_path / "w_output.csv")
+        os.symlink("/dev/full", path)
+    argv = {
+        "sweep": ("--figure", "gain", "--grid", "0.2:0.4:0.1", "--out", path),
+        "wigner": ("--alpha", "0.5", "--grid=-1:1:1", "--out", str(tmp_path / "w")),
+        "validate": ("--out", path),
+    }[command]
+    code, out, err = run_cli(capsys, command, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
 
 
 class TestValidateCommand:

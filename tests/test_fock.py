@@ -63,7 +63,7 @@ class TestBeamsplitter:
     @pytest.mark.parametrize("dim,alpha,s", [(50, 1.2, -0.9), (16, 1.5, -1.3)])
     def test_norm_preserved(self, dim, alpha, s):
         joint = TwoModeFock(np.outer(cat_fock(alpha, "odd", dim).amps,
-                                     squeezed_vacuum_fock(s, dim, check_tail=False).amps))
+                                     squeezed_vacuum_fock(s, dim).amps))
         out = beamsplitter_fock(joint, math.sqrt(0.95), math.sqrt(0.05))
         # unitary on the sectors N < dim it keeps; the rest is the tail it drops
         assert abs(out.norm() ** 2 - (joint.norm() ** 2 - joint.tail_mass())) <= 1e-12
@@ -152,7 +152,7 @@ def product_input(family: str, alpha: float, s: float, dim: int) -> np.ndarray:
     if family == "coherent":
         first, second = coherent_fock(alpha, dim), coherent_fock(-0.7 * alpha, dim)
     else:
-        first, second = cat_fock(alpha, family, dim), squeezed_vacuum_fock(s, dim, check_tail=False)
+        first, second = cat_fock(alpha, family, dim), squeezed_vacuum_fock(s, dim)
     return np.outer(first.amps, second.amps)
 
 
@@ -275,7 +275,7 @@ class TestSubtraction:
         s = cfg.squeezing_value()
         _, (_, _, joint) = fock.pick_dim(
             lambda d: _fock_inputs(cat_fock(alpha, parity, d),
-                                   squeezed_vacuum_fock(s, d, check_tail=False))
+                                   squeezed_vacuum_fock(s, d))
         )
         rho1, _ = _fock_comparison(joint, cfg)
         rho_out, p2 = _fock_subtraction(rho1, cfg)
@@ -330,26 +330,26 @@ def squeezed_vacuum_amps_direct(s: float, dim: int) -> np.ndarray:
 class TestSqueezedVacuum:
     @given(s=st.floats(-2.0, 2.0), dim=st.integers(40, 100))
     def test_equals_lgamma_series(self, s, dim):
-        built = squeezed_vacuum_fock(s, dim, check_tail=False)
+        built = squeezed_vacuum_fock(s, dim)
         assert np.max(np.abs(built.amps - squeezed_vacuum_amps_direct(s, dim))) <= 1e-14
 
     def test_tail_failure_raises_truncation_error(self):
         with pytest.raises(TruncationError):
-            squeezed_vacuum_fock(-1.2, 20)
+            fock.check_truncation(squeezed_vacuum_fock(-1.2, 20))
 
 
 class TestSqueeze:
     def test_vacuum_gives_direct_series(self):
         # independent oracle: sqrt((2m)!)/m! (-tanh s / 2)^m sqrt(sech s)
         for s in (-0.7218177375894052, 0.5):
-            built = squeeze_fock(vacuum_vector(60), s, check_tail=False)
+            built = squeeze_fock(vacuum_vector(60), s)
             series = squeezed_vacuum_amps_direct(s, 60)
             assert np.max(np.abs(built.amps - series)) < 1e-10
 
     @pytest.mark.parametrize("s", [-2.0, -1.4, 1.4, 2.0])
     def test_vacuum_column_is_the_series_bit_for_bit(self, s):
-        built = squeeze_fock(vacuum_vector(200), s, check_tail=False)
-        assert np.array_equal(built.amps, squeezed_vacuum_fock(s, 200, check_tail=False).amps)
+        built = squeeze_fock(vacuum_vector(200), s)
+        assert np.array_equal(built.amps, squeezed_vacuum_fock(s, 200).amps)
 
     @pytest.mark.parametrize("s", [-1.4, -0.5, 0.8, 1.4])
     def test_operator_matches_wide_exponential(self, s):
@@ -365,14 +365,13 @@ class TestSqueeze:
 
     def test_squeeze_then_unsqueeze_roundtrips(self):
         state = cat_fock(1.0, "even", 60)
-        out = squeeze_fock(squeeze_fock(state, 0.6, check_tail=False), -0.6,
-                           check_tail=False)
+        out = squeeze_fock(squeeze_fock(state, 0.6), -0.6)
         fid = np.abs(np.vdot(state.amps, out.amps)) ** 2
         assert fid == pytest.approx(1.0, abs=1e-9)
 
     def test_tail_failure_raises_truncation_error(self):
         with pytest.raises(TruncationError):
-            squeeze_fock(vacuum_vector(20), -1.2)
+            fock.check_truncation(squeeze_fock(vacuum_vector(20), -1.2))
 
     def test_range_guard(self):
         with pytest.raises(ValueError):
@@ -398,14 +397,11 @@ class TestLadder:
         s = -0.7218177375894052
         dim = 80
         cat = cat_fock(1.0, "even", dim)
-        lhs, norm = ladder(squeeze_fock(cat, s, check_tail=False))
+        lhs, norm = ladder(squeeze_fock(cat, s))
         low, _ = ladder(cat)
         high = np.zeros_like(cat.amps)  # a^dag |cat>
         high[1:] = np.sqrt(np.arange(1, dim)) * cat.amps[:-1]
-        rhs = squeeze_fock(
-            FockVector(math.cosh(s) * low.amps - math.sinh(s) * high),
-            s, check_tail=False,
-        )
+        rhs = squeeze_fock(FockVector(math.cosh(s) * low.amps - math.sinh(s) * high), s)
         fid = np.abs(np.vdot(lhs.amps / norm, rhs.amps / np.linalg.norm(rhs.amps))) ** 2
         assert fid == pytest.approx(1.0, abs=1e-9)
 
@@ -415,29 +411,17 @@ class TestConditioning:
     def test_vacuum_pair_stays_dark(self, eta):
         amps = np.zeros((6, 6), dtype=complex)
         amps[0, 0] = 1.0
-        _, prob = condition_fock(TwoModeFock(amps), 1, eta, "no_click")
+        _, prob = condition_fock(TwoModeFock(amps), eta)
         assert prob == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("eta", [0.3, 0.8, 1.0])
-    def test_single_photon_click_probability_is_eta(self, eta):
-        amps = np.zeros((6, 6), dtype=complex)
-        amps[0, 1] = 1.0
-        rho, prob = condition_fock(TwoModeFock(amps), 1, eta, "click")
-        assert prob == pytest.approx(eta, abs=1e-12)
-        assert rho.matrix[0, 0] == pytest.approx(1.0, abs=1e-12)
-
-    @pytest.mark.parametrize("mode", [0, 1])
-    @pytest.mark.parametrize("outcome", ["no_click", "click"])
-    def test_matches_einsum(self, mode, outcome):
+    def test_matches_einsum(self):
         # the weighted partial trace as one einsum: the original contraction
-        rng = np.random.default_rng(11 + mode)
+        rng = np.random.default_rng(11)
         amps = rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30))
         amps /= np.linalg.norm(amps)
-        rho, prob = condition_fock(TwoModeFock(amps), mode, 0.7, outcome)
+        rho, prob = condition_fock(TwoModeFock(amps), 0.7)
         w = fock.noclick_weights(0.7, 30)
-        w = 1.0 - w if outcome == "click" else w
-        kept_first = amps if mode == 1 else amps.T
-        expected = np.einsum("jn,n,kn->jk", kept_first, w, kept_first.conj())
+        expected = np.einsum("nj,n,nk->jk", amps, w, amps.conj())
         assert prob == pytest.approx(np.trace(expected).real, abs=1e-15)
         assert np.max(np.abs(rho.matrix - expected / prob)) <= 1e-15
 
@@ -450,7 +434,7 @@ class TestConditioning:
         joint = TwoModeFock(np.outer(cat_fock(1.0, "odd", dim).amps,
                                      squeezed_vacuum_fock(s, dim).amps))
         joint = beamsplitter_fock(joint, HALF, HALF)
-        _, p_fock = condition_fock(joint, 0, 1.0, "no_click")
+        _, p_fock = condition_fock(joint, 1.0)
         chi_joint = substitute_beamsplitter(
             tensor(cat_chi(1.0, "odd"), squeezed_vacuum_chi(s)), 0, 1, HALF, HALF
         )
@@ -531,7 +515,7 @@ class TestTruncationControl:
 
     # the coherent state lies almost wholly beyond the truncation: its tail
     # is tiny in absolute terms but most of what the truncation holds
-    @pytest.mark.parametrize("heavy", [squeezed_vacuum_fock(-1.3, 40, check_tail=False),
+    @pytest.mark.parametrize("heavy", [squeezed_vacuum_fock(-1.3, 40),
                                        coherent_fock(14.0, 40)])
     def test_cropped_state_fails_tail_check(self, heavy):
         with pytest.raises(TruncationError):
@@ -541,13 +525,13 @@ class TestTruncationControl:
         # the states the pipeline checks: the input cat and the squeezed vacuum
         def build(alpha, s):
             return lambda d: (cat_fock(alpha, "even", d),
-                              squeezed_vacuum_fock(s, d, check_tail=False))
+                              squeezed_vacuum_fock(s, d))
 
         assert fock.pick_dim(build(1.0, -0.7218177375894052))[0] == 60
         assert fock.pick_dim(build(0.3, -0.0891))[0] == 40
 
     def test_picker_uses_pinned_truncation_unchecked(self):
-        heavy = lambda d: (squeezed_vacuum_fock(-1.3, d, check_tail=False),)
+        heavy = lambda d: (squeezed_vacuum_fock(-1.3, d),)
         dim, (state,) = fock.pick_dim(heavy, truncation=40)
         assert dim == 40 and state.tail_mass() > fock.DEFAULT_TAIL_TOL
 
@@ -555,7 +539,7 @@ class TestTruncationControl:
         # both single-mode tails pass at rung 40, their product's weight in
         # the sectors N >= 40 does not
         cat = lambda d: cat_fock(2.0, "even", d)
-        guess = lambda d: squeezed_vacuum_fock(-0.62, d, check_tail=False)
+        guess = lambda d: squeezed_vacuum_fock(-0.62, d)
         assert fock.pick_dim(lambda d: (cat(d), guess(d)))[0] == 40
         dim, (_, _, joint) = fock.pick_dim(lambda d: _fock_inputs(cat(d), guess(d)))
         assert dim == 60 and joint.tail_mass() <= fock.DEFAULT_TAIL_TOL
@@ -566,7 +550,7 @@ class TestTruncationControl:
         rejected = []
 
         def build(dim):
-            state = squeezed_vacuum_fock(-1.3, dim, check_tail=False)
+            state = squeezed_vacuum_fock(-1.3, dim)
             rejected.append(weakref.ref(state))
             return (state,)
 

@@ -35,6 +35,64 @@ from catscamp.pipeline import (
 from catscamp.states import cat_chi, cat_fock, subtracted_squeezed_cat_overlap
 
 
+def per_point_search(f, lo, hi, tol=1e-6, polish_h=4e-3):
+    """The golden-section search one scalar ``f(x)`` at a time, the loop
+    :func:`golden_section_max` ran before it took only a vectorised curve,
+    kept here verbatim as the oracle its batches must equal bit for bit."""
+    if not hi > lo:
+        raise ValueError("need hi > lo")
+    xs = np.linspace(lo, hi, optimize._N_COARSE)
+    fs = None  # the coarse values, once taken
+
+    def checked(points, values):
+        values = np.asarray(values, dtype=float)
+        bad = ~np.isfinite(values)
+        if bad.any():
+            raise BracketError(
+                f"objective is not finite at x = {np.asarray(points)[bad][0]:.6g}",
+                scan_x=xs,
+                scan_f=values if fs is None else fs,
+            )
+        return values
+
+    def evaluate(points):
+        return checked(points, [f(x) for x in points])
+
+    fs = evaluate(xs)
+    best = int(np.argmax(fs))
+    if best == 0 or best == optimize._N_COARSE - 1:
+        raise BracketError(
+            f"coarse maximum at the boundary x = {xs[best]:.6g}; no interior bracket",
+            scan_x=xs,
+            scan_f=fs,
+        )
+    a, b = xs[best - 1], xs[best + 1]
+    c = b - optimize._INV_PHI * (b - a)
+    d = a + optimize._INV_PHI * (b - a)
+    fc, fd = evaluate([c, d])
+    known = {}
+    while (b - a) > tol:
+        left = fc > fd
+        a, b, c, d, x = optimize._golden_step(a, b, c, d, left)
+        if x not in known:
+            points = optimize._speculate(a, b, c, d, x, 1, tol)
+            known = dict(zip(points, evaluate(points)))
+        if left:
+            fc, fd = known[x], fc
+        else:
+            fc, fd = fd, known[x]
+    x_star, f_star = (c, fc) if fc > fd else (d, fd)
+    if polish_h and hi - lo > 2.0 * polish_h:
+        xc = min(max(x_star, lo + polish_h), hi - polish_h)
+        f0, f1, f2 = evaluate([xc - polish_h, xc, xc + polish_h])
+        denom = f0 - 2.0 * f1 + f2
+        if denom < 0.0:  # concave stencil: the parabola has a maximum
+            vertex = xc + 0.5 * polish_h * (f0 - f2) / denom
+            if lo <= vertex <= hi and abs(vertex - xc) <= 2.0 * polish_h:
+                return float(vertex), float(checked([vertex], [f(vertex)])[0])
+    return float(x_star), float(f_star)
+
+
 # smooth unimodal shapes with their maximum at u = 0
 UNIMODAL = [
     lambda u: 1.0 - u * u,
@@ -73,14 +131,14 @@ class TestGoldenSection:
         lambda x: math.exp(-((x - 0.8) ** 2)) * math.cos(3.0 * x),
     ])
     def test_batched_scan_returns_the_same_optimum(self, f):
-        assert golden_section_max(f, 0.0, 1.0, scan=np.vectorize(f)) == golden_section_max(f, 0.0, 1.0)
+        assert golden_section_max(np.vectorize(f), 0.0, 1.0) == per_point_search(f, 0.0, 1.0)
 
     def test_batched_scan_attached_to_bracket_error(self):
         f = lambda x: x
         with pytest.raises(BracketError) as per_point:
-            golden_section_max(f, 0.0, 1.0)
+            per_point_search(f, 0.0, 1.0)
         with pytest.raises(BracketError) as batched:
-            golden_section_max(f, 0.0, 1.0, scan=np.vectorize(f))
+            golden_section_max(np.vectorize(f), 0.0, 1.0)
         assert np.array_equal(batched.value.scan_x, per_point.value.scan_x)
         assert np.array_equal(batched.value.scan_f, per_point.value.scan_f)
         assert np.array_equal(batched.value.scan_f, np.linspace(0.0, 1.0, 64))
@@ -92,7 +150,10 @@ class TestGoldenSection:
         # steps close in on
         f = lambda x: math.nan if bad(x) else 1.0 - (x - 0.37) ** 2
         with pytest.raises(BracketError, match="not finite") as info:
-            golden_section_max(f, 0.0, 1.0, scan=np.vectorize(f) if batched else None)
+            if batched:
+                golden_section_max(np.vectorize(f), 0.0, 1.0)
+            else:
+                per_point_search(f, 0.0, 1.0)
         assert np.array_equal(info.value.scan_x, np.linspace(0.0, 1.0, 64))
         assert np.array_equal(info.value.scan_f, [f(x) for x in info.value.scan_x],
                               equal_nan=True)
@@ -114,15 +175,18 @@ class TestGoldenSection:
         # a tol that `steps` golden steps reach, half a step from the next
         tol = 2.0 * span / 63 * optimize._INV_PHI ** (steps - 0.5)
         points = []
-        golden_section_max(lambda x: points.append(x) or f(x), lo, hi, tol=tol, polish_h=0.0)
+        per_point_search(lambda x: points.append(x) or f(x), lo, hi, tol=tol, polish_h=0.0)
         assert len(points) == 64 + 2 + steps
         rows = []
-        scan = lambda xs: rows.append(len(xs)) or np.vectorize(f)(xs)
-        per_point = golden_section_max(f, lo, hi, tol=tol, polish_h=polish_h)
-        assert golden_section_max(f, lo, hi, tol=tol, polish_h=polish_h, scan=scan) == per_point
+        curve = lambda xs: rows.append(len(xs)) or np.vectorize(f)(xs)
+        per_point = per_point_search(f, lo, hi, tol=tol, polish_h=polish_h)
+        assert golden_section_max(curve, lo, hi, tol=tol, polish_h=polish_h) == per_point
         polished = polish_h and span > 2.0 * polish_h
-        assert rows[:2] == [64, 2] and (rows[-1] == 3 or not polished)
-        batches = rows[2:-1] if polished else rows[2:]
+        # a polished search ends with its 3-point stencil, then one call for
+        # the vertex when the fit is concave and near
+        tail = (2 if rows[-1] == 1 else 1) if polished else 0
+        assert rows[:2] == [64, 2] and (rows[-tail] == 3 or not polished)
+        batches = rows[2:len(rows) - tail]
         # unless the depth divides `steps`, the search ends inside a batch; a
         # point one branch shares with another can spare a batch
         depth = optimize._SPECULATION_DEPTH
@@ -139,9 +203,9 @@ class TestGoldenSection:
         hi, centre = lo + span, lo + edge * span
         f = lambda x: shape((x - centre) / span)
         with pytest.raises(BracketError) as per_point:
-            golden_section_max(f, lo, hi)
+            per_point_search(f, lo, hi)
         with pytest.raises(BracketError) as batched:
-            golden_section_max(f, lo, hi, scan=np.vectorize(f))
+            golden_section_max(np.vectorize(f), lo, hi)
         assert np.array_equal(batched.value.scan_f, per_point.value.scan_f)
         assert int(np.argmax(per_point.value.scan_f)) == (0 if edge < 0 else 63)
 
@@ -155,6 +219,26 @@ class TestGoldenSection:
         counted = lambda bs: rows.append(np.size(bs)) or curve(bs)
         assert _optimize_beta(counted, alpha) == _optimize_beta(curve, alpha)
         assert rows[0] == 64 and len(rows) <= 11
+
+    @pytest.mark.parametrize("alpha, parity", [(0.4, "even"), (1.3, "odd")])
+    def test_every_curve_call_gets_a_1d_array(self, monkeypatch, alpha, parity):
+        calls = {"chi": [], "fock": []}
+
+        def recording(engine, make):
+            def make_recorded(out, target):
+                curve = make(out, target)
+                return lambda bs: calls[engine].append(bs) or curve(bs)
+            return make_recorded
+
+        monkeypatch.setattr(pipeline, "_chi_fidelity_curve",
+                            recording("chi", _chi_fidelity_curve))
+        monkeypatch.setattr(pipeline, "_fock_fidelity_curve",
+                            recording("fock", _fock_fidelity_curve))
+        run_parity_swap(PipelineConfig(alpha=alpha, parity=parity, engine="both"))
+        for engine, made in calls.items():
+            assert made and all(isinstance(bs, np.ndarray) and bs.ndim == 1 for bs in made)
+            assert made[0].size == optimize._N_COARSE
+        assert len(calls["chi"]) <= 11
 
     def test_lower_guard_fallback_fires_with_scan(self):
         curve = lambda bs: 1.0 - np.atleast_1d(bs)  # keeps rising toward beta = 0
@@ -171,7 +255,7 @@ class TestGoldenSection:
     def test_chi_search_equals_per_point_overlap_search(self, parity, eta):
         cfg = PipelineConfig(alpha=1.2, parity=parity, eta1=eta, eta2=eta)
         res = run_parity_swap(cfg)
-        per_point = golden_section_max(
+        per_point = per_point_search(
             lambda b: overlap(cat_chi(b, cfg.target_parity), res.output_chi),
             *_beta_bracket(cfg.alpha))
         assert (res.beta_star, res.fidelity_star) == per_point
@@ -260,6 +344,13 @@ class TestConfig:
     def test_invalid_field_named_in_error(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             PipelineConfig(**kwargs)
+
+    def test_truncation_bound(self):
+        # the bound itself builds; running it takes about 0.7 s and 290 MiB
+        assert PipelineConfig(truncation=fock.TRUNCATION_MAX).truncation == fock.TRUNCATION_MAX
+        with pytest.raises(ValueError, match="truncation"):
+            PipelineConfig(truncation=fock.TRUNCATION_MAX + 1)
+        assert fock.TRUNCATION_MAX > fock.DIM_LADDER[-1]
 
     def test_success_probability_is_stage_product(self):
         res = run_parity_swap(PipelineConfig(alpha=0.8, engine="chi"), optimize=False)
@@ -424,7 +515,7 @@ class TestIdealGainCurve:
         # dim of 160.  Rows truncated on stand-ins for the squeezed cat were
         # 8.7e-9 (alpha = 1.5) and 5.9e-6 (alpha = 2.0) off in F*
         row = ideal_gain_curve([alpha])[0]
-        beta, fstar = golden_section_max(
+        beta, fstar = per_point_search(
             lambda b: subtracted_squeezed_cat_overlap(
                 row.alpha_prime, "even", row.s_prime, b, dim=160),
             *_beta_bracket(alpha))
