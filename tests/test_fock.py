@@ -414,13 +414,35 @@ class TestConditioning:
         _, prob = condition_fock(TwoModeFock(amps), eta)
         assert prob == pytest.approx(1.0, abs=1e-12)
 
-    def test_matches_einsum(self):
+    @pytest.mark.parametrize("eta", [0.3, 0.8])
+    def test_single_photon_dark_probability_is_one_minus_eta(self, eta):
+        amps = np.zeros((6, 6), dtype=complex)
+        amps[1, 0] = 1.0  # one photon on the measured mode 0
+        rho, prob = condition_fock(TwoModeFock(amps), eta)
+        assert prob == pytest.approx(1.0 - eta, abs=1e-12)
+        assert rho.matrix[0, 0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_photon_on_kept_mode_is_not_measured(self):
+        amps = np.zeros((6, 6), dtype=complex)
+        amps[0, 1] = 1.0
+        rho, prob = condition_fock(TwoModeFock(amps), 1.0)
+        assert prob == pytest.approx(1.0, abs=1e-12)
+        assert rho.matrix[1, 1] == pytest.approx(1.0, abs=1e-12)
+
+    def test_certain_click_is_negligible(self):
+        amps = np.zeros((6, 6), dtype=complex)
+        amps[1, 0] = 1.0
+        with pytest.raises(NegligibleEventError, match="'no_click' probability"):
+            condition_fock(TwoModeFock(amps), 1.0)
+
+    @pytest.mark.parametrize("seed,eta", [(11, 0.7), (12, 0.3)])
+    def test_matches_einsum(self, seed, eta):
         # the weighted partial trace as one einsum: the original contraction
-        rng = np.random.default_rng(11)
+        rng = np.random.default_rng(seed)
         amps = rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30))
         amps /= np.linalg.norm(amps)
-        rho, prob = condition_fock(TwoModeFock(amps), 0.7)
-        w = fock.noclick_weights(0.7, 30)
+        rho, prob = condition_fock(TwoModeFock(amps), eta)
+        w = fock.noclick_weights(eta, 30)
         expected = np.einsum("nj,n,nk->jk", amps, w, amps.conj())
         assert prob == pytest.approx(np.trace(expected).real, abs=1e-15)
         assert np.max(np.abs(rho.matrix - expected / prob)) <= 1e-15
