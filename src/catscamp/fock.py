@@ -6,9 +6,11 @@ amplitude is real, and complex128 only for complex data, as the audit's; the
 squeezer and displacement are their exact matrix elements, by recurrence; the
 stage-1 beamsplitter acts with real blocks on the total-photon-number sectors
 N < dim that hold input weight, each block built from the one below by
-recurrence (the weight in N >= dim is dropped, and :func:`pick_dim` certifies
-it through :meth:`TwoModeFock.tail_mass`), photon subtraction is the
-pure-loss Kraus sum on the single-mode density, and detector outcomes use the
+recurrence and cached once per splitter, a smaller dim reading a prefix (the
+weight in N >= dim is dropped, and :func:`pick_dim` certifies it through
+:meth:`TwoModeFock.tail_mass`), photon subtraction is the pure-loss Kraus sum
+on the single-mode density, rescaled into one Toeplitz correlation of its
+diagonals that is a single matrix product, and detector outcomes use the
 Kelley-Kleiner POVM diag((1-eta)^n).  This engine is the independent oracle
 for every result of :mod:`catscamp.phasespace`.
 """
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -290,9 +293,21 @@ def ladder(state: FockVector):
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=32)
-def _beamsplitter_blocks(t: float, r: float, dim: int):
+def _splitter_sectors(t: float, r: float) -> list:
+    """The one cache entry of the splitter (t, r): ``(p, block)`` of the sectors
+    N = 0, 1, ..., which :func:`_beamsplitter_blocks` grows in place to the
+    largest dim asked for; a smaller dim reads its prefix."""
+    vacuum = np.ones((1, 1))
+    vacuum.setflags(write=False)
+    return [(np.arange(1), vacuum)]
+
+
+_GROW_LOCK = threading.Lock()  # growing a shared entry is check-then-append
+
+
+def _beamsplitter_blocks(t: float, r: float, dim: int) -> list:
     """``(p, block)`` per total photon number N < dim: the indices p of the
-    sector's states |p, N-p> and the mode mixer's real block
+    sector's states |p, N-p> and the mode mixer's real, read-only block
     <p, N-p| U |j, N-j>, each block built from the one before.
 
     The generator theta (b^dag a - a^dag b) with theta = atan2(r, t) sends
@@ -305,24 +320,39 @@ def _beamsplitter_blocks(t: float, r: float, dim: int):
     N (the Wigner small-d recursion of Risbo); building a column from one
     neighbour only loses accuracy geometrically in N.
     """
-    theta = float(np.arctan2(r, t))
-    # cos and sin of theta, not (t, r): a splitter off the unit circle by
-    # round-off would scale sector N by (t^2 + r^2)^(N/2)
-    t, r = np.cos(theta), np.sin(theta)
-    blocks = [np.ones((1, 1))]
-    root = np.sqrt(np.arange(dim))
-    for total in range(1, dim):
-        prev = blocks[-1]
-        # a^dag, b^dag raise sector total-1 into sector total
-        up_a = np.zeros((total + 1, total))
-        up_b = np.zeros((total + 1, total))
-        up_a[1:] = root[1:total + 1, None] * prev
-        up_b[:-1] = root[total:0:-1, None] * prev
-        block = np.zeros((total + 1, total + 1))
-        block[:, 1:] = root[1:total + 1] * (t * up_a + r * up_b)  # sqrt(p) A U|p-1, q>
-        block[:, :-1] += root[total:0:-1] * (t * up_b - r * up_a)  # sqrt(q) B U|p, q-1>
-        blocks.append(block / total)
-    return tuple((np.arange(total + 1), block) for total, block in enumerate(blocks))
+    sectors = _splitter_sectors(t, r)
+    if len(sectors) < dim:
+        theta = float(np.arctan2(r, t))
+        # cos and sin of theta, not (t, r): a splitter off the unit circle by
+        # round-off would scale sector N by (t^2 + r^2)^(N/2)
+        t, r = np.cos(theta), np.sin(theta)
+        with _GROW_LOCK:
+            # the raised copies and their sums live in four scratch arrays of
+            # the largest sector's size, so no per-sector temporaries leave
+            # holes in the heap between the kept blocks (0.8 MiB at dim 100)
+            scratch = np.empty((4, dim * (dim - 1)))
+            for total in range(len(sectors), dim):
+                prev = sectors[-1][1]
+                root = np.sqrt(np.arange(total + 1))
+                shape = (4, total + 1, total)
+                up_a, up_b, one, two = scratch[:, :(total + 1) * total].reshape(shape)
+                # a^dag, b^dag raise sector total-1 into sector total
+                up_a[0] = 0.0
+                np.multiply(root[1:total + 1, None], prev, out=up_a[1:])
+                up_b[-1] = 0.0
+                np.multiply(root[total:0:-1, None], prev, out=up_b[:-1])
+                block = np.zeros((total + 1, total + 1))
+                # sqrt(p) A U|p-1, q>
+                np.add(np.multiply(t, up_a, out=one), np.multiply(r, up_b, out=two), out=one)
+                np.multiply(root[1:total + 1], one, out=block[:, 1:])
+                # sqrt(q) B U|p, q-1>
+                np.subtract(np.multiply(t, up_b, out=one), np.multiply(r, up_a, out=two), out=one)
+                one *= root[total:0:-1]
+                block[:, :-1] += one
+                block /= total
+                block.setflags(write=False)
+                sectors.append((np.arange(total + 1), block))
+    return sectors[:dim]
 
 
 def beamsplitter_fock(state: TwoModeFock, t: float, r: float) -> TwoModeFock:
@@ -376,21 +406,41 @@ def condition_fock(state: TwoModeFock, eta: float):
 def subtract_fock(rho: FockDensity, t: float, r: float, eta: float):
     """Photon subtraction on a single-mode density: a splitter (t, r) with a vacuum
     ancilla whose reflected arm must click.  That splitter is the pure-loss channel
-    K_k|n> = sqrt(C(n, k)) t^(n-k) r^k |n-k>, so the kept mode is sum_{k>=1}
-    (1 - (1-eta)^k) K_k rho K_k^dag, returned renormalized with its probability."""
+    K_k = (r^k / sqrt(k!)) t^n a^k, so the kept mode is sum_{k>=1} (1 - (1-eta)^k)
+    K_k rho K_k^dag, returned renormalized with its probability.
+
+    With d = dim and s_m = sqrt(m! / d^m), the rescaled rho~[m, n] = s_m s_n rho[m, n]
+    gives out[i, j] = t^(i+j) / (s_i s_j) sum_k h_k rho~[i+k, j+k] for one kernel
+    h_k = (1 - (1-eta)^k) r^(2k) / s_k^2 = (1 - (1-eta)^k) (r^2 d)^k / k!: each
+    diagonal of rho~ is correlated with h, so the whole sum is one product of the
+    diagonals, the rows of a skewed view, with the Toeplitz matrix T[m, i] = h_(m-i).
+    s_m lies in [e^(-d/2), 1] and h_k below e^(r^2 d), so every factor is finite
+    for d <= :data:`TRUNCATION_MAX`, and a larger d raises ``ValueError``.
+    r^(2k) and t^i are powers, not running products: a running product of the
+    rounded r^2 d would carry its one rounding error k times into h_k.
+    """
     if abs(t * t + r * r - 1.0) > 1e-12:
         raise ValueError(f"(t, r) = ({t}, {r}) is not unitary: t^2 + r^2 != 1")
     dim = rho.dim
+    if dim > TRUNCATION_MAX:
+        raise ValueError(f"dim {dim} above TRUNCATION_MAX = {TRUNCATION_MAX}")
     n = np.arange(dim)
-    ks = n[1:, None]
-    # C(n, k) = C(n, k-1) (n-k+1) / k down the rows: zero for k > n
-    comb = np.cumprod(np.vstack([np.ones(dim), np.maximum(n - ks + 1, 0) / ks]), axis=0)
-    click = 1.0 - noclick_weights(eta, dim)
-    # amp[k, n] = sqrt(1 - (1-eta)^k) <n-k| K_k |n>
-    amp = np.sqrt(comb * click[:, None]) * t ** np.maximum(n - n[:, None], 0) * r ** n[:, None]
-    out = np.zeros_like(rho.matrix)
-    for k in range(1, dim):
-        out[:dim - k, :dim - k] += np.outer(amp[k, k:], amp[k, k:]) * rho.matrix[k:, k:]
+    scale_sq = np.cumprod(np.concatenate(([1.0], n[1:] / dim)))  # s_m^2
+    scale = np.sqrt(scale_sq)
+    kernel = (1.0 - noclick_weights(eta, dim)) * r ** (2 * n) / scale_sq  # h_0 = 0
+    # T[m, i] = h_(m-i) for m >= i, else 0
+    toeplitz = np.concatenate((np.zeros(dim - 1), kernel))[dim - 1 + n[:, None] - n]
+    # rho~ in the middle of a (d, 3d) zero frame: skewed[a, b] = frame[b, 1 + a + b]
+    # is rho~[b, b + a + 1 - d], so row a of the view is one diagonal of rho~
+    frame = np.zeros((dim, 3 * dim), dtype=rho.matrix.dtype)
+    np.multiply(rho.matrix, np.outer(scale, scale), out=frame[:, dim:2 * dim])
+    item = frame.itemsize
+    skewed = np.lib.stride_tricks.as_strided(
+        frame.reshape(-1)[1:], shape=(2 * dim - 1, dim), strides=(item, item * (3 * dim + 1))
+    )
+    skewed[...] = skewed @ toeplitz
+    unscale = t ** n / scale
+    out = frame[:, dim:2 * dim] * np.outer(unscale, unscale)
     prob = float(np.trace(out).real)
     if prob < DEFAULT_PROB_FLOOR:
         raise NegligibleEventError(

@@ -14,6 +14,7 @@ states.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -86,8 +87,8 @@ class PipelineConfig:
     value; either way the resolved value must satisfy |s| <= 2.  The
     stage-1 splitter defaults to 50:50 and the stage-2 splitter to
     t2 = sqrt(0.95).  ``truncation`` pins the number-basis dimension of the
-    fock engine, 8 to :data:`fock.TRUNCATION_MAX` (``None`` selects the
-    smallest adequate ladder rung).
+    fock engine, an integer from 8 to :data:`fock.TRUNCATION_MAX` (``None``
+    selects the smallest adequate ladder rung).
     Every value is checked here, so an out-of-domain one raises
     ``ValueError`` before anything runs.
     """
@@ -123,9 +124,15 @@ class PipelineConfig:
                 raise ValueError(f"{name} must lie in [{EFFICIENCY_MIN:g}, 1], got {val}")
         if self.engine not in _ENGINES:
             raise ValueError(f"engine must be one of {_ENGINES}, got {self.engine!r}")
-        if self.truncation is not None and not 8 <= self.truncation <= fock.TRUNCATION_MAX:
-            raise ValueError(f"truncation must lie in [8, {fock.TRUNCATION_MAX}], "
-                             f"got {self.truncation}")
+        if self.truncation is not None:
+            try:
+                operator.index(self.truncation)  # numpy integers pass, floats do not
+            except TypeError:
+                raise ValueError(f"truncation must be an integer, "
+                                 f"got {self.truncation!r}") from None
+            if not 8 <= self.truncation <= fock.TRUNCATION_MAX:
+                raise ValueError(f"truncation must lie in [8, {fock.TRUNCATION_MAX}], "
+                                 f"got {self.truncation}")
 
     @property
     def r1(self) -> float:

@@ -26,7 +26,7 @@ from catscamp.fock import (
     squeeze_fock,
     vacuum_vector,
 )
-from catscamp.phasespace import NegligibleEventError
+from catscamp.phasespace import DEFAULT_PROB_FLOOR, NegligibleEventError
 from catscamp.pipeline import (
     PipelineConfig,
     _fock_comparison,
@@ -108,6 +108,35 @@ SPLITTERS = [
 ]
 
 
+def recurrence_blocks(t: float, r: float, dim: int):
+    """The splitter's blocks built for one (t, r, dim) at a time, as the
+    engine cached them before its one entry per splitter: kept here, with
+    the same arithmetic, as the oracle of the grown entry and its prefixes."""
+    theta = float(np.arctan2(r, t))
+    t, r = np.cos(theta), np.sin(theta)
+    blocks = [np.ones((1, 1))]
+    root = np.sqrt(np.arange(dim))
+    for total in range(1, dim):
+        prev = blocks[-1]
+        up_a = np.zeros((total + 1, total))
+        up_b = np.zeros((total + 1, total))
+        up_a[1:] = root[1:total + 1, None] * prev
+        up_b[:-1] = root[total:0:-1, None] * prev
+        block = np.zeros((total + 1, total + 1))
+        block[:, 1:] = root[1:total + 1] * (t * up_a + r * up_b)
+        block[:, :-1] += root[total:0:-1] * (t * up_b - r * up_a)
+        blocks.append(block / total)
+    return tuple((np.arange(total + 1), block) for total, block in enumerate(blocks))
+
+
+@pytest.fixture
+def cold_splitter_cache():
+    """An empty splitter cache before and after: a dim-200 entry holds 20 MiB."""
+    fock._splitter_sectors.cache_clear()
+    yield
+    fock._splitter_sectors.cache_clear()
+
+
 class TestBeamsplitterBlocks:
     @pytest.mark.parametrize("dim", [5, 40, 60, 100])
     @pytest.mark.parametrize("t,r", SPLITTERS)
@@ -120,18 +149,42 @@ class TestBeamsplitterBlocks:
             assert np.max(np.abs(block - block_exp)) <= 1e-12
 
     @pytest.mark.parametrize("t,r", SPLITTERS)
-    def test_recurrence_stays_orthogonal_to_sector_199(self, t, r):
-        # uncached: two hundred sectors hold some 40 MiB
-        for _, block in fock._beamsplitter_blocks.__wrapped__(t, r, 200):
+    def test_one_entry_per_splitter_serves_every_dim(self, cold_splitter_cache, t, r):
+        for dim in (40, 100, 60):
+            blocks = fock._beamsplitter_blocks(t, r, dim)
+            expected = recurrence_blocks(t, r, dim)
+            assert len(blocks) == len(expected) == dim
+            for (p, block), (p_exp, block_exp) in zip(blocks, expected):
+                assert np.array_equal(p, p_exp)
+                assert np.array_equal(block, block_exp)  # bit for bit
+                assert not block.flags.writeable
+        assert fock._splitter_sectors.cache_info().currsize == 1
+        assert len(fock._splitter_sectors(t, r)) == 100
+
+    def test_every_fock_cache_clear_empties_the_splitter_cache(self, cold_splitter_cache):
+        # what perfbench's clear_fock_caches does before every cold op
+        old = fock._beamsplitter_blocks(HALF, HALF, 40)
+        for obj in vars(fock).values():
+            if callable(getattr(obj, "cache_clear", None)):
+                obj.cache_clear()
+        assert fock._splitter_sectors.cache_info().currsize == 0
+        new = fock._beamsplitter_blocks(HALF, HALF, 40)
+        assert fock._splitter_sectors.cache_info().misses == 1
+        assert new[-1][1] is not old[-1][1]
+        assert np.array_equal(new[-1][1], old[-1][1])
+
+    @pytest.mark.parametrize("t,r", SPLITTERS)
+    def test_recurrence_stays_orthogonal_to_sector_199(self, cold_splitter_cache, t, r):
+        for _, block in fock._beamsplitter_blocks(t, r, 200):
             assert np.max(np.abs(block @ block.conj().T - np.eye(block.shape[0]))) <= 1e-12
 
 
-    def test_splitter_off_the_unit_circle_is_normalised(self):
+    def test_splitter_off_the_unit_circle_is_normalised(self, cold_splitter_cache):
         # passes the 1e-12 unitarity guard; without the cos/sin-of-theta
         # normalisation the top sector would be scaled by (t^2 + r^2)^(199/2)
         t = r = HALF * (1.0 + 4e-13)
         assert abs(t * t + r * r - 1.0) <= 1e-12
-        _, block = fock._beamsplitter_blocks.__wrapped__(t, r, 200)[-1]
+        _, block = fock._beamsplitter_blocks(t, r, 200)[-1]
         assert np.max(np.abs(block.conj().T @ block - np.eye(block.shape[0]))) <= 1e-13
 
 
@@ -175,7 +228,7 @@ class TestRealArithmetic:
         seen = []
         for name in ("beamsplitter_fock", "condition_fock", "subtract_fock"):
             self.spy(monkeypatch, name, seen)
-        fock._beamsplitter_blocks.cache_clear()
+        fock._splitter_sectors.cache_clear()
         result = run()
         assert [name for name, _, _ in seen] == [
             "beamsplitter_fock", "condition_fock", "subtract_fock"]
@@ -184,9 +237,11 @@ class TestRealArithmetic:
                   "rho1": seen[1][2].matrix, "rho_out": seen[2][2].matrix}
         for label, array in arrays.items():
             assert array.dtype == np.float64, label
-        assert fock._beamsplitter_blocks.cache_info().currsize == 1
-        blocks = fock._beamsplitter_blocks(t1, math.sqrt(1.0 - t1 * t1), joint.dims[0])
-        assert all(block.dtype == np.float64 for _, block in blocks)
+        # one splitter, grown to the one dim the run used
+        assert fock._splitter_sectors.cache_info().currsize == 1
+        sectors = fock._splitter_sectors(t1, math.sqrt(1.0 - t1 * t1))
+        assert len(sectors) == joint.dims[0]
+        assert all(block.dtype == np.float64 for _, block in sectors)
         assert result.output_fock.matrix.dtype == np.float64
 
     @pytest.mark.parametrize("engine", ["fock", "both"])
@@ -199,10 +254,10 @@ class TestRealArithmetic:
         cfg = PipelineConfig(t1=math.sqrt(0.6), engine="fock")
         self.assert_real_path(monkeypatch, lambda: run_coherent_scamp(0.8, +1, cfg), cfg.t1)
 
-    def test_dim_200_cache_entry_at_most_21_mib(self):
+    def test_dim_200_cache_entry_at_most_21_mib(self, cold_splitter_cache):
         # the complex copies the cache held before took 41.0 MiB here
-        blocks = fock._beamsplitter_blocks.__wrapped__(HALF, HALF, 200)
-        assert sum(block.nbytes for _, block in blocks) <= 21 * 2**20
+        fock._beamsplitter_blocks(HALF, HALF, 200)
+        assert sum(block.nbytes for _, block in fock._splitter_sectors(HALF, HALF)) <= 21 * 2**20
 
     @given(
         family=st.sampled_from(["even", "odd", "coherent"]),
@@ -261,6 +316,43 @@ def ensemble_subtraction(rho1: FockDensity, cfg: PipelineConfig):
     return FockDensity(rho_out / p2), p2
 
 
+def kraus_loop_subtraction(rho: FockDensity, t: float, r: float, eta: float):
+    """Photon subtraction on a single-mode density: a splitter (t, r) with a vacuum
+    ancilla whose reflected arm must click.  That splitter is the pure-loss channel
+    K_k|n> = sqrt(C(n, k)) t^(n-k) r^k |n-k>, so the kept mode is sum_{k>=1}
+    (1 - (1-eta)^k) K_k rho K_k^dag, returned renormalized with its probability.
+
+    The engine's Kraus loop, one outer product per k, before the sum became one
+    matrix product: kept here verbatim as the oracle of :func:`fock.subtract_fock`.
+    """
+    if abs(t * t + r * r - 1.0) > 1e-12:
+        raise ValueError(f"(t, r) = ({t}, {r}) is not unitary: t^2 + r^2 != 1")
+    dim = rho.dim
+    n = np.arange(dim)
+    ks = n[1:, None]
+    # C(n, k) = C(n, k-1) (n-k+1) / k down the rows: zero for k > n
+    comb = np.cumprod(np.vstack([np.ones(dim), np.maximum(n - ks + 1, 0) / ks]), axis=0)
+    click = 1.0 - fock.noclick_weights(eta, dim)
+    # amp[k, n] = sqrt(1 - (1-eta)^k) <n-k| K_k |n>
+    amp = np.sqrt(comb * click[:, None]) * t ** np.maximum(n - n[:, None], 0) * r ** n[:, None]
+    out = np.zeros_like(rho.matrix)
+    for k in range(1, dim):
+        out[:dim - k, :dim - k] += np.outer(amp[k, k:], amp[k, k:]) * rho.matrix[k:, k:]
+    prob = float(np.trace(out).real)
+    if prob < DEFAULT_PROB_FLOOR:
+        raise NegligibleEventError(
+            f"click probability {prob:.3e} below floor {DEFAULT_PROB_FLOOR:.1e}"
+        )
+    return FockDensity(out / prob), prob
+
+
+def subtraction_or_none(subtract, rho, t, r, eta):
+    try:
+        return subtract(rho, t, r, eta)
+    except NegligibleEventError:
+        return None
+
+
 class TestSubtraction:
     @given(
         alpha=st.floats(0.2, 1.5),
@@ -289,6 +381,44 @@ class TestSubtraction:
         if p2 >= 1e-2:
             assert np.max(np.abs(rho_out.matrix - expected.matrix)) <= 1e-12
 
+    @given(
+        dim=st.integers(8, 400),
+        t2_sq=st.floats(0.01, 0.9999),
+        eta=st.floats(1e-3, 1.0),
+        is_complex=st.booleans(),
+        decay=st.floats(0.0, 0.2),
+        rank=st.integers(1, 3),
+        log_weight=st.floats(-16.0, 0.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_product_form_matches_kraus_loop(self, dim, t2_sq, eta, is_complex, decay,
+                                             rank, log_weight, seed):
+        # a random density of the given rank with populations falling as
+        # exp(-2 decay n), all but `weight` of it moved to the vacuum, so that
+        # some draws fall below the click-probability floor
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=(dim, rank))
+        if is_complex:
+            amps = amps + 1j * rng.normal(size=(dim, rank))
+        amps *= np.exp(-decay * np.arange(dim))[:, None]
+        weight = 10.0 ** log_weight
+        rho = weight * (amps @ amps.conj().T) / np.sum(np.abs(amps) ** 2)
+        rho[0, 0] += 1.0 - weight
+        t, r = math.sqrt(t2_sq), math.sqrt(1.0 - t2_sq)
+        got = subtraction_or_none(fock.subtract_fock, FockDensity(rho), t, r, eta)
+        expected = subtraction_or_none(kraus_loop_subtraction, FockDensity(rho), t, r, eta)
+        if got is None or expected is None:
+            # only a probability within round-off of the floor may split them
+            for result in (got, expected):
+                if result is not None:
+                    assert abs(result[1] - DEFAULT_PROB_FLOOR) <= 4e-15 * DEFAULT_PROB_FLOOR
+            return
+        (out, p2), (out_expected, p2_expected) = got, expected
+        assert out.matrix.dtype == rho.dtype
+        assert abs(p2 - p2_expected) <= 4e-15 * p2_expected
+        gap = p2 * out.matrix - p2_expected * out_expected.matrix
+        assert np.max(np.abs(gap)) <= 4e-15
+
     def test_two_photons_closed_form(self):
         # |2> loses one photon (prob 2 t^2 r^2, detected w.p. eta) or two
         # (prob r^4, detected w.p. 1 - (1-eta)^2)
@@ -307,6 +437,13 @@ class TestSubtraction:
     def test_non_unitary_splitter_rejected(self):
         with pytest.raises(ValueError, match="not unitary"):
             fock.subtract_fock(FockDensity(np.diag([0.0, 1.0, 0, 0])), 0.9, 0.9, 1.0)
+
+    def test_dim_above_truncation_max_rejected(self):
+        # beyond it the rescaling s_m^2 = m!/d^m and the kernel leave float range
+        rho = np.zeros((fock.TRUNCATION_MAX + 1,) * 2)
+        rho[1, 1] = 1.0
+        with pytest.raises(ValueError, match="TRUNCATION_MAX"):
+            fock.subtract_fock(FockDensity(rho), HALF, HALF, 1.0)
 
 
 def squeezed_vacuum_amps_direct(s: float, dim: int) -> np.ndarray:

@@ -352,6 +352,14 @@ class TestConfig:
             PipelineConfig(truncation=fock.TRUNCATION_MAX + 1)
         assert fock.TRUNCATION_MAX > fock.DIM_LADDER[-1]
 
+    def test_truncation_must_be_an_integer(self):
+        # a float used to build and then die in numpy with a TypeError
+        for value in (50.5, 50.0, np.float64(50.0), "50"):
+            with pytest.raises(ValueError, match="truncation must be an integer"):
+                PipelineConfig(engine="fock", truncation=value)
+        cfg = PipelineConfig(alpha=0.5, engine="fock", truncation=np.int64(40))
+        assert run_parity_swap(cfg, optimize=False).fock_dim == 40
+
     def test_success_probability_is_stage_product(self):
         res = run_parity_swap(PipelineConfig(alpha=0.8, engine="chi"), optimize=False)
         assert res.p_success == pytest.approx(
