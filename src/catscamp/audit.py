@@ -120,8 +120,8 @@ def _fock_parity_structure() -> AuditCheck:
                   f"forbidden-parity amplitude magnitude {bad:.1e}")
 
 
-def _beamsplitter_unitarity(seed=20260809) -> AuditCheck:
-    rng = np.random.default_rng(seed)
+def _beamsplitter_unitarity() -> AuditCheck:
+    rng = np.random.default_rng(20260809)
     worst = worst_fock = 0.0
     for _ in range(6):
         alpha = rng.uniform(0.2, 1.4)
@@ -192,7 +192,7 @@ def _noclick_is_vacuum_projection() -> AuditCheck:
                   f"max characteristic-function residual = {worst:.3e}")
 
 
-def _trace_rule_consistency(seed=7) -> AuditCheck:
+def _trace_rule_consistency() -> AuditCheck:
     """Pure-state overlaps agree between the engines.
 
     Cat-against-squeezed pairs run at the first ladder rung, 40 (the cat caps
@@ -202,7 +202,7 @@ def _trace_rule_consistency(seed=7) -> AuditCheck:
     |s| of about 1.45, which caps the draws at
     :data:`TRACE_RULE_SQUEEZE_MAX`.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(12):
         alpha = rng.uniform(0.1, 1.5)
@@ -260,8 +260,8 @@ def _squeezing_optimality() -> AuditCheck:
                   f"max |argmax - formula| = {worst:.3e}")
 
 
-def _channel_identity(seed=42) -> AuditCheck:
-    rng = np.random.default_rng(seed)
+def _channel_identity() -> AuditCheck:
+    rng = np.random.default_rng(42)
     worst = 0.0
     for _ in range(20):
         alpha = rng.uniform(0.1, 1.5)

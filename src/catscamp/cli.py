@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import os
 import sys
@@ -20,36 +19,43 @@ import sys
 import numpy as np
 
 from . import audit, sweeps
-from .fock import TruncationError
-from .optimize import BracketError
-from .phasespace import PhaseSpaceError
-from .pipeline import PipelineConfig, run_parity_swap, wigner_report
-from .sweeps import SweepSpec, format_number
-
-CONFIG_KEYS = {
-    "engine": str,
-    "alpha": float,
-    "parity": str,
-    "squeezing": str,
-    "t1": float,
-    "t2": float,
-    "eta1": float,
-    "eta2": float,
-    "truncation": int,
-    "figure": str,
-    "grid": str,
-    "out": str,
-}
+from .pipeline import ENGINE_ERRORS, PipelineConfig, run_parity_swap, wigner_report
+from .sweeps import FIGURE_CHOICES, SweepSpec, format_number
 
 # the most values (sweep rows, Wigner map cells) one grid may ask for
 MAX_GRID_VALUES = 10**6
 
-# the keys that are PipelineConfig's fields: its defaults and checks apply
-_RUN_KEYS = tuple(f.name for f in dataclasses.fields(PipelineConfig))
-
 
 class ConfigError(Exception):
     pass
+
+
+def _squeezing_value(text):
+    if text == "auto":
+        return text
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"squeezing must be 'auto' or a number, got {text!r}") from None
+
+
+# the run flags, each a field of PipelineConfig, whose defaults and checks
+# apply: name -> (type, help), read by argparse and the config file alike
+RUN_FLAGS = {
+    "engine": (str, "chi, fock or both"),
+    "alpha": (float, "input cat size"),
+    "parity": (str, "even or odd"),
+    "squeezing": (_squeezing_value, "'auto' or a signed squeezing value"),
+    "t1": (float, "comparison-splitter transmission"),
+    "t2": (float, "subtraction-splitter transmission"),
+    "eta1": (float, "comparison detector efficiency"),
+    "eta2": (float, "subtraction detector efficiency"),
+    "truncation": (int, "fock-engine dimension override"),
+}
+
+# the config-file keys that are a subcommand's own flags, kept as text
+TEXT_KEYS = ("figure", "grid", "out")
 
 
 def _parse_config_file(path: str) -> dict:
@@ -67,11 +73,14 @@ def _parse_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in CONFIG_KEYS:
+        if key in TEXT_KEYS:
+            values[key] = value
+            continue
+        if key not in RUN_FLAGS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = CONFIG_KEYS[key](value)
-        except ValueError as exc:
+            values[key] = RUN_FLAGS[key][0](value)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values
 
@@ -106,15 +115,6 @@ def _parse_grid(text: str, axes: int = 1):
     return lo + step * np.arange(points)
 
 
-def _squeezing_value(text):
-    if text == "auto":
-        return text
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise ConfigError(f"squeezing must be 'auto' or a number, got {text!r}") from exc
-
-
 @contextlib.contextmanager
 def _open_for_write(path: str):
     """``path`` open for writing; an ``OSError`` opening, writing or closing
@@ -135,11 +135,8 @@ def _merged(args, file_cfg: dict, key: str, default=None):
 def _run_params(args, file_cfg) -> dict:
     """The run parameters given by flag or config file, flag first; the
     ones given by neither are left to :class:`PipelineConfig`'s defaults."""
-    merged = {key: _merged(args, file_cfg, key) for key in _RUN_KEYS}
-    params = {key: value for key, value in merged.items() if value is not None}
-    if "squeezing" in params:
-        params["squeezing"] = _squeezing_value(params["squeezing"])
-    return params
+    merged = {key: _merged(args, file_cfg, key) for key in RUN_FLAGS}
+    return {key: value for key, value in merged.items() if value is not None}
 
 
 def _checked(build, **kwargs):
@@ -152,15 +149,8 @@ def _checked(build, **kwargs):
 
 def _add_common_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--engine", help="chi, fock or both")
-    parser.add_argument("--alpha", type=float, help="input cat size")
-    parser.add_argument("--parity", help="even or odd")
-    parser.add_argument("--squeezing", help="'auto' or a signed squeezing value")
-    parser.add_argument("--t1", type=float, help="comparison-splitter transmission")
-    parser.add_argument("--t2", type=float, help="subtraction-splitter transmission")
-    parser.add_argument("--eta1", type=float, help="comparison detector efficiency")
-    parser.add_argument("--eta2", type=float, help="subtraction detector efficiency")
-    parser.add_argument("--truncation", type=int, help="fock-engine dimension override")
+    for name, (kind, text) in RUN_FLAGS.items():
+        parser.add_argument(f"--{name}", type=kind, help=text)
 
 
 def _cmd_run(args) -> int:
@@ -254,9 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="write a figure sweep as CSV")
     _add_common_flags(p_sweep)
-    p_sweep.add_argument("--figure", help="figure id (squeezing, squeeze_fidelity, "
-                                          "gain, fidelity, probability, ideal_gain "
-                                          "or 3a/3b/4a/4b/5a/5b/6a/6b/9)")
+    p_sweep.add_argument("--figure", help=f"figure id ({FIGURE_CHOICES})")
     p_sweep.add_argument("--grid", help="input-size grid MIN:MAX:STEP")
     p_sweep.add_argument("--out", help="output CSV path")
     p_sweep.set_defaults(func=_cmd_sweep)
@@ -286,7 +274,7 @@ def main(argv=None) -> int:
         # devnull takes what is left, so the interpreter's last flush is quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (ConfigError, PhaseSpaceError, TruncationError, BracketError) as exc:
+    except (ConfigError, *ENGINE_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigError) else 1
 

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import fock, states
-from .fock import FockDensity, TwoModeFock
+from .fock import FockDensity, TruncationError, TwoModeFock
 from .optimize import BracketError, golden_section_max
 from .phasespace import (
     CLICK,
@@ -29,6 +29,7 @@ from .phasespace import (
     DetectorPOVMChi,
     GaussianSumState,
     NegligibleEventError,
+    PhaseSpaceError,
     TraceRule,
     condition,
     overlap,
@@ -68,12 +69,19 @@ __all__ = [
     "WignerReport",
     "HALF", "T2_95", "T2_99",
     "AGREE_TOL",
+    "ENGINE_ERRORS",
 ]
 
 HALF = math.sqrt(0.5)
 T2_95 = math.sqrt(0.95)
 T2_99 = math.sqrt(0.99)
 AGREE_TOL = 1e-6
+# the most a chi probability or fidelity may exceed 1 by rounding
+UNIT_TOL = 1e-12
+
+# what an engine raises on a run it cannot compute, as against a programming
+# error: a sweep keeps it as an error cell, the command line exits 1
+ENGINE_ERRORS = (PhaseSpaceError, TruncationError, BracketError)
 
 _ENGINES = ("chi", "fock", "both")
 
@@ -167,26 +175,35 @@ class EngineRecord:
         return self.p_noclick_stage1 * self.p_click_stage2
 
 
+def _from_primary(name: str) -> property:
+    return property(lambda self: getattr(self.primary, name),
+                    doc=f"The primary engine record's ``{name}``.")
+
+
 @dataclass(frozen=True)
 class PipelineResult:
-    """Output of one amplifier run (per engine where applicable)."""
+    """Output of one amplifier run: one :class:`EngineRecord` per engine that
+    ran, keyed by engine name, and the primary record's numbers (chi where
+    it ran, else fock) read from it."""
 
     config: PipelineConfig
     squeezing_s: float
-    p_noclick_stage1: float
-    p_click_stage2: float
-    beta_star: float | None
-    fidelity_star: float | None
+    records: dict
     output_chi: GaussianSumState | None = None
     output_fock: FockDensity | None = None
     fock_dim: int | None = None
-    records: dict = field(default_factory=dict)
     engines_agree: bool | None = None
     agreement_max_diff: float | None = None
 
+    p_noclick_stage1 = _from_primary("p_noclick_stage1")
+    p_click_stage2 = _from_primary("p_click_stage2")
+    p_success = _from_primary("p_success")
+    beta_star = _from_primary("beta_star")
+    fidelity_star = _from_primary("fidelity_star")
+
     @property
-    def p_success(self) -> float:
-        return self.p_noclick_stage1 * self.p_click_stage2
+    def primary(self) -> EngineRecord:
+        return self.records["chi" if "chi" in self.records else "fock"]
 
     @property
     def gain_amp(self) -> float | None:
@@ -202,7 +219,7 @@ class PipelineResult:
     def to_record(self) -> dict:
         """Flat key/value record with a deterministic field order."""
         cfg = self.config
-        rec = {
+        return {
             "engine": cfg.engine,
             "alpha": cfg.alpha,
             "parity": cfg.parity,
@@ -224,7 +241,6 @@ class PipelineResult:
             "engines_agree": self.engines_agree,
             "agreement_max_diff": self.agreement_max_diff,
         }
-        return rec
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +314,21 @@ def _fock_fidelity_curve(out: FockDensity, parity: str):
     return curve
 
 
+def _checked_unit(rec: EngineRecord) -> EngineRecord:
+    """``rec``, once its probabilities and fidelity lie in (0, 1 + UNIT_TOL].
+
+    At tiny inputs the chi engine loses its precision (alpha = 0.003 gives
+    F* = 20.4), so a value outside that range is an engine error, not a
+    result.
+    """
+    for name in ("p_noclick_stage1", "p_click_stage2", "fidelity_star"):
+        value = getattr(rec, name)
+        if value is not None and not 0.0 < value <= 1.0 + UNIT_TOL:
+            raise PhaseSpaceError(f"chi {name} = {value:.10g} lies outside (0, 1]: "
+                                  f"the engine lost its precision at this input")
+    return rec
+
+
 def _beta_bracket(alpha: float):
     return max(0.5 * alpha, 1e-3), 3.0 * alpha + 0.5
 
@@ -351,7 +382,7 @@ def run_parity_swap(cfg: PipelineConfig, optimize: bool = True) -> PipelineResul
             beta, fstar = _optimize_beta(
                 _chi_fidelity_curve(out_chi, cfg.target_parity), cfg.alpha
             )
-        records["chi"] = EngineRecord(p1, p2, beta, fstar)
+        records["chi"] = _checked_unit(EngineRecord(p1, p2, beta, fstar))
 
     if cfg.engine in ("fock", "both"):
         dim, (_, _, joint) = fock.pick_dim(
@@ -368,7 +399,6 @@ def run_parity_swap(cfg: PipelineConfig, optimize: bool = True) -> PipelineResul
             )
         records["fock"] = EngineRecord(p1, p2, beta, fstar)
 
-    primary = records["chi"] if "chi" in records else records["fock"]
     agree = max_diff = None
     if cfg.engine == "both":
         a, b = records["chi"], records["fock"]
@@ -384,14 +414,10 @@ def run_parity_swap(cfg: PipelineConfig, optimize: bool = True) -> PipelineResul
     return PipelineResult(
         config=cfg,
         squeezing_s=s,
-        p_noclick_stage1=primary.p_noclick_stage1,
-        p_click_stage2=primary.p_click_stage2,
-        beta_star=primary.beta_star,
-        fidelity_star=primary.fidelity_star,
+        records=records,
         output_chi=out_chi,
         output_fock=out_fock,
         fock_dim=dim,
-        records=records,
         engines_agree=agree,
         agreement_max_diff=max_diff,
     )

@@ -174,10 +174,9 @@ class ChannelParams:
 # characteristic-function constructors
 # ---------------------------------------------------------------------------
 
-def vacuum_chi(n_modes: int = 1) -> GaussianSumState:
-    """chi = exp(-sum |xi_j|^2 / 2)."""
-    d = 2 * n_modes
-    return GaussianSumState(n_modes, [1.0], np.eye(d)[None], np.zeros((1, d)), "vacuum")
+def vacuum_chi() -> GaussianSumState:
+    """chi = exp(-|xi|^2 / 2)."""
+    return GaussianSumState(1, [1.0], np.eye(2)[None], np.zeros((1, 2)), "vacuum")
 
 
 def coherent_chi(alpha: float) -> GaussianSumState:

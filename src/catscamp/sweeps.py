@@ -11,20 +11,20 @@ caught, so programming errors still propagate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .fock import TruncationError
-from .optimize import BracketError
-from .pipeline import PipelineConfig, ideal_gain_curve, run_parity_swap
-from .phasespace import PhaseSpaceError, overlap
-from .states import EVEN, cat_chi, optimal_squeezing, squeezed_vacuum_chi
+from .pipeline import ENGINE_ERRORS, PipelineConfig, ideal_gain_curve, run_parity_swap
+from .phasespace import overlap
+from .states import EVEN, ODD, cat_chi, optimal_squeezing, squeezed_vacuum_chi
 
 __all__ = [
     "SweepSpec",
-    "FIGURE_ALIASES",
-    "FIGURE_COLUMNS",
+    "Figure",
+    "FIGURES",
+    "FIGURE_CHOICES",
     "normalize_figure",
     "format_number",
     "sweep_rows",
@@ -32,51 +32,85 @@ __all__ = [
     "run_sweep_to_path",
 ]
 
-# canonical figure ids plus the short aliases accepted on the command line;
-# the letter suffixes select the input parity where it matters
-FIGURE_ALIASES = {
-    "squeezing": ("squeezing", None),
-    "3a": ("squeezing", None),
-    "squeeze_fidelity": ("squeeze_fidelity", None),
-    "3b": ("squeeze_fidelity", None),
-    "gain": ("gain", None),
-    "4a": ("gain", "even"),
-    "4b": ("gain", "odd"),
-    "fidelity": ("fidelity", None),
-    "5a": ("fidelity", "even"),
-    "5b": ("fidelity", "odd"),
-    "probability": ("probability", None),
-    "6a": ("probability", "even"),
-    "6b": ("probability", "odd"),
-    "ideal_gain": ("ideal_gain", None),
-    "9": ("ideal_gain", None),
+
+def _squeezing_row(spec: SweepSpec, alpha: float):
+    s = optimal_squeezing(alpha)
+    return {"alpha": alpha, "s_opt": s.s, "s_db": s.s_db}
+
+
+def _squeeze_fidelity_row(spec: SweepSpec, alpha: float):
+    s = optimal_squeezing(alpha)
+    val = overlap(cat_chi(alpha, EVEN), squeezed_vacuum_chi(s.s))
+    return {"alpha": alpha, "s_opt": s.s, "overlap": val}
+
+
+def _pipeline_row(spec: SweepSpec, alpha: float):
+    # the probability figure writes no beta* or F*, so it skips the search
+    res = run_parity_swap(replace(spec.config, alpha=alpha),
+                          optimize=spec.figure != "probability")
+    record = res.to_record()
+    return {**record, "fidelity": record["fidelity_star"]}
+
+
+def _ideal_gain_row(spec: SweepSpec, alpha: float):
+    row = ideal_gain_curve([alpha], r1=spec.config.r1)[0]
+    return {**asdict(row), "gain_amp": row.gain_amp, "gain_intensity": row.gain_intensity}
+
+
+@dataclass(frozen=True)
+class Figure:
+    """One figure: its CSV columns, the builder of one row's values, and the
+    short aliases accepted for it, each with the input parity it selects
+    (``None`` leaves the parity to the run)."""
+
+    columns: tuple
+    row: Callable
+    aliases: dict
+
+
+# the run parameters every pipeline figure starts with
+_RUN_COLUMNS = ("alpha", "parity", "t2", "eta1", "eta2")
+
+FIGURES = {
+    "squeezing": Figure(
+        ("alpha", "s_opt", "s_db", "error"),
+        _squeezing_row, {"3a": None}),
+    "squeeze_fidelity": Figure(
+        ("alpha", "s_opt", "overlap", "error"),
+        _squeeze_fidelity_row, {"3b": None}),
+    "gain": Figure(
+        _RUN_COLUMNS + ("beta_star", "gain_amp", "gain_intensity", "fidelity", "p_success",
+                        "error"),
+        _pipeline_row, {"4a": EVEN, "4b": ODD}),
+    "fidelity": Figure(
+        _RUN_COLUMNS + ("beta_star", "fidelity_star", "p_success", "error"),
+        _pipeline_row, {"5a": EVEN, "5b": ODD}),
+    "probability": Figure(
+        _RUN_COLUMNS + ("p_noclick_stage1", "p_click_stage2", "p_success", "error"),
+        _pipeline_row, {"6a": EVEN, "6b": ODD}),
+    "ideal_gain": Figure(
+        ("alpha", "s_opt", "s_prime", "alpha_prime", "beta_star", "gain_amp",
+         "gain_intensity", "overlap_star", "error"),
+        _ideal_gain_row, {"9": None}),
 }
 
-FIGURE_COLUMNS = {
-    "squeezing": ("alpha", "s_opt", "s_db", "error"),
-    "squeeze_fidelity": ("alpha", "s_opt", "overlap", "error"),
-    "gain": ("alpha", "parity", "t2", "eta1", "eta2", "beta_star", "gain_amp",
-             "gain_intensity", "fidelity", "p_success", "error"),
-    "fidelity": ("alpha", "parity", "t2", "eta1", "eta2", "beta_star",
-                 "fidelity_star", "p_success", "error"),
-    "probability": ("alpha", "parity", "t2", "eta1", "eta2",
-                    "p_noclick_stage1", "p_click_stage2", "p_success", "error"),
-    "ideal_gain": ("alpha", "s_opt", "s_prime", "alpha_prime", "beta_star",
-                   "gain_amp", "gain_intensity", "overlap_star", "error"),
-}
+# alias -> (canonical id, implied parity)
+_ALIASES = {alias: (fig, parity) for fig, spec in FIGURES.items()
+            for alias, parity in spec.aliases.items()}
+
+FIGURE_CHOICES = ", ".join(FIGURES) + " or aliases " + "/".join(_ALIASES)
 
 
 def normalize_figure(figure: str, parity: str | None = None):
     """Resolve a figure id or alias to (canonical id, parity); the parity a
     figure id implies wins, then the one given, then the run default."""
     key = figure.strip().lower()
-    if key not in FIGURE_ALIASES:
-        raise ValueError(
-            f"unknown figure id {figure!r}; choose from "
-            f"{sorted(set(k for k in FIGURE_ALIASES if not k[0].isdigit()))} "
-            f"or aliases 3a/3b/4a/4b/5a/5b/6a/6b/9"
-        )
-    canonical, implied_parity = FIGURE_ALIASES[key]
+    if key in FIGURES:
+        canonical, implied_parity = key, None
+    elif key in _ALIASES:
+        canonical, implied_parity = _ALIASES[key]
+    else:
+        raise ValueError(f"unknown figure id {figure!r}; choose from {FIGURE_CHOICES}")
     return canonical, (implied_parity or parity or PipelineConfig.parity)
 
 
@@ -110,7 +144,7 @@ class SweepSpec:
 
     @property
     def columns(self):
-        return FIGURE_COLUMNS[self.figure]
+        return FIGURES[self.figure].columns
 
 
 def format_number(value) -> str:
@@ -123,76 +157,20 @@ def format_number(value) -> str:
     return f"{float(value):.12g}"
 
 
-def _squeezing_row(spec: SweepSpec, alpha: float):
-    s = optimal_squeezing(alpha)
-    return {"alpha": alpha, "s_opt": s.s, "s_db": s.s_db}
-
-
-def _squeeze_fidelity_row(spec: SweepSpec, alpha: float):
-    s = optimal_squeezing(alpha)
-    val = overlap(cat_chi(alpha, EVEN), squeezed_vacuum_chi(s.s))
-    return {"alpha": alpha, "s_opt": s.s, "overlap": val}
-
-
-def _pipeline_row(spec: SweepSpec, alpha: float):
-    cfg = replace(spec.config, alpha=alpha)
-    # the probability figure writes no beta* or F*, so it skips the search
-    res = run_parity_swap(cfg, optimize=spec.figure != "probability")
-    return {
-        "alpha": alpha,
-        "parity": cfg.parity,
-        "t2": cfg.t2,
-        "eta1": cfg.eta1,
-        "eta2": cfg.eta2,
-        "beta_star": res.beta_star,
-        "gain_amp": res.gain_amp,
-        "gain_intensity": res.gain_intensity,
-        "fidelity": res.fidelity_star,
-        "fidelity_star": res.fidelity_star,
-        "p_noclick_stage1": res.p_noclick_stage1,
-        "p_click_stage2": res.p_click_stage2,
-        "p_success": res.p_success,
-    }
-
-
-def _ideal_gain_row(spec: SweepSpec, alpha: float):
-    row = ideal_gain_curve([alpha], r1=spec.config.r1)[0]
-    return {
-        "alpha": alpha,
-        "s_opt": row.s_opt,
-        "s_prime": row.s_prime,
-        "alpha_prime": row.alpha_prime,
-        "beta_star": row.beta_star,
-        "gain_amp": row.gain_amp,
-        "gain_intensity": row.gain_intensity,
-        "overlap_star": row.overlap_star,
-    }
-
-
-_ROW_BUILDERS = {
-    "squeezing": _squeezing_row,
-    "squeeze_fidelity": _squeeze_fidelity_row,
-    "gain": _pipeline_row,
-    "fidelity": _pipeline_row,
-    "probability": _pipeline_row,
-    "ideal_gain": _ideal_gain_row,
-}
-
-
 def sweep_rows(spec: SweepSpec):
-    """Evaluate the sweep; returns (columns, list of per-column string rows)."""
+    """Evaluate the sweep; returns (columns, list of per-column string rows),
+    in the grid's ascending order."""
     columns = spec.columns
-    builder = _ROW_BUILDERS[spec.figure]
+    builder = FIGURES[spec.figure].row
     rows = []
     for alpha in spec.alphas:
         try:
             values = builder(spec, float(alpha))
             values["error"] = ""
-        except (PhaseSpaceError, TruncationError, BracketError, ValueError) as exc:
+        except (*ENGINE_ERRORS, ValueError) as exc:
             # an engine or domain failure marks the row; the sweep goes on
             values = {"alpha": float(alpha), "error": str(exc).replace("\n", " ")}
         rows.append(tuple(format_number(values.get(col)) for col in columns))
-    rows.sort(key=lambda row: float(row[0]))
     return columns, rows
 
 

@@ -1,9 +1,11 @@
 """Command-line surface: run, sweep, wigner, validate; config handling."""
 
+import dataclasses
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -13,15 +15,16 @@ import numpy as np
 import pytest
 
 from catscamp import audit, fock, sweeps
-from catscamp.cli import _parse_grid, main
+from catscamp.cli import RUN_FLAGS, _parse_grid, build_parser, main
 from catscamp.phasespace import EFFICIENCY_MIN
 from catscamp.pipeline import PipelineConfig
 from catscamp.states import cat_fock
-from catscamp.sweeps import FIGURE_COLUMNS, SweepSpec, normalize_figure
+from catscamp.sweeps import FIGURES, SweepSpec, normalize_figure
 
 
 T2_95_TEXT = "0.974679434481"
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def run_cli(capsys, *argv):
@@ -123,6 +126,15 @@ class TestRun:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "not finite" in err
 
+    def test_unphysical_output_exits_1_with_one_line(self, capsys):
+        # at tiny inputs the chi engine loses its precision: F* above 1 is
+        # an engine error, not a result
+        code, out, err = run_cli(capsys, "run", "--alpha", "0.003")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "fidelity_star = 20.37" in err and "outside (0, 1]" in err
+
     @pytest.mark.parametrize("unbuffered", [True, False])
     def test_closed_stdout_exits_141_without_a_traceback(self, unbuffered):
         # the reader of the pipe is gone before the child writes a line; a
@@ -186,7 +198,7 @@ class TestSweep:
         )
         assert code == 0
         lines = out_path.read_text().splitlines()
-        assert lines[0] == ",".join(FIGURE_COLUMNS["gain"])
+        assert lines[0] == ",".join(FIGURES["gain"].columns)
         for line in lines[1:]:
             gain = float(line.split(",")[6])
             assert abs(gain / math.sqrt(2.0) - 1.0) < 0.10
@@ -327,13 +339,35 @@ class TestSweep:
         with pytest.raises(TypeError):
             sweeps.sweep_rows(spec)
 
-    def test_probability_figure_skips_beta_search(self, monkeypatch):
+    @pytest.mark.parametrize("figure, calls_per_row", [
+        ("gain", [{"optimize": True}]),
+        ("fidelity", [{"optimize": True}]),
+        ("probability", [{"optimize": False}]),
+        ("squeezing", []),
+        ("squeeze_fidelity", []),
+        ("ideal_gain", []),
+    ])
+    def test_probability_figure_skips_beta_search(self, monkeypatch, figure, calls_per_row):
+        # the benchmark stamps each pipeline row at the module global
+        # sweeps.run_parity_swap, so a pipeline figure calls it once per row
         calls = []
         real = sweeps.run_parity_swap
         monkeypatch.setattr(sweeps, "run_parity_swap",
                             lambda cfg, **kw: calls.append(kw) or real(cfg, **kw))
-        sweeps.sweep_rows(SweepSpec(figure="probability", alphas=np.array([0.5])))
-        assert calls == [{"optimize": False}]
+        _, rows = sweeps.sweep_rows(SweepSpec(figure=figure, alphas=np.array([0.5, 0.7])))
+        assert len(rows) == 2
+        assert calls == 2 * calls_per_row
+
+    def test_pipeline_row_is_the_run_record(self):
+        # every pipeline column is the run record's field of that name, but
+        # fidelity, which is fidelity_star
+        res = sweeps.run_parity_swap(PipelineConfig(alpha=0.9, eta1=0.8))
+        record = {key: sweeps.format_number(value) for key, value in res.to_record().items()}
+        record["fidelity"] = record["fidelity_star"]
+        for figure in ("gain", "fidelity"):
+            columns, rows = sweeps.sweep_rows(SweepSpec(figure=figure, alphas=[0.9], eta1=0.8))
+            assert dict(zip(columns, rows[0])) == {**{c: record[c] for c in columns[:-1]},
+                                                   "error": ""}
 
     def test_unwritable_out_exits_2(self, capsys, tmp_path):
         out_path = tmp_path / "missing" / "x.csv"
@@ -345,10 +379,54 @@ class TestSweep:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(out_path) in err
 
+    def test_unphysical_output_is_an_error_cell(self):
+        _, rows = sweeps.sweep_rows(SweepSpec(figure="fidelity", alphas=[0.003, 0.5]))
+        assert rows[0][0] == "0.003" and "fidelity_star = 20.37" in rows[0][-1]
+        assert rows[1][-1] == ""
+
     def test_twelve_significant_digits(self):
         assert sweeps.format_number(1.0 / 3.0) == "0.333333333333"
         assert sweeps.format_number(None) == ""
         assert sweeps.format_number(True) == "true"
+
+
+class TestFigureTable:
+    ALIASES = [(alias, fig) for fig, spec in FIGURES.items() for alias in spec.aliases]
+
+    @pytest.mark.parametrize("alias, figure", ALIASES)
+    def test_every_alias_resolves_to_its_figure(self, alias, figure):
+        assert normalize_figure(alias)[0] == figure
+        assert alias not in FIGURES
+
+    def test_every_column_tuple_ends_in_error(self):
+        for spec in FIGURES.values():
+            assert spec.columns[-1] == "error"
+            assert "error" not in spec.columns[:-1]
+
+    def test_unknown_figure_message_and_help_list_every_id_and_alias(self, capsys):
+        with pytest.raises(ValueError) as info:
+            normalize_figure("negativity")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["sweep", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        for name in list(FIGURES) + [alias for alias, _ in self.ALIASES]:
+            assert re.search(rf"(?<![\w]){name}(?![\w])", str(info.value)), name
+            assert re.search(rf"(?<![\w]){name}(?![\w])", help_text), name
+
+    def test_readme_table_matches(self):
+        readme = (ROOT / "README.md").read_text()
+        section = readme.split("### Figure ids and column schemas", 1)[1].split("\n\n")[1]
+        table = {}
+        for line in section.splitlines()[2:]:
+            _, key, columns, _ = line.split("|")
+            figure = re.search(r"`(\w+)`", key).group(1)
+            aliases = re.findall(r"\b(\d+[ab]?)\b", key)
+            table[figure] = (aliases, tuple(columns.strip().strip("`").split(", ")))
+        assert table == {fig: (list(spec.aliases), spec.columns)
+                         for fig, spec in FIGURES.items()}
+
+    def test_run_flags_are_the_config_fields(self):
+        assert set(RUN_FLAGS) == {f.name for f in dataclasses.fields(PipelineConfig)}
 
 
 class TestWignerCommand:
